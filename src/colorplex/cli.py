@@ -26,10 +26,10 @@ from .errors import BudgetError, FormatError
 from .gamma import gamma_complex, intersection_data_from_json
 from .gems import export_dot, gem_report, parse_gem
 from .holonomy import (
+    _cached_hol,
     brute_force_colorable,
     defect_free_four_coloring,
     defect_graphs,
-    hol_generators,
     holonomy_invariants,
     is_colorable,
     is_locally_colorable,
@@ -134,8 +134,12 @@ def _load_triangulation(args):
     if args.input:
         return parse_triangulation(_read_file(args.input)), args.input
     name, _, params = args.example.partition(":")
-    values = [int(tok) for tok in params.split(":") if tok] if params else []
-    return builders.example(name, values), f"example:{args.example}"
+    try:
+        values = [int(tok) for tok in params.split(":") if tok] if params else []
+        t = builders.example(name, values)
+    except ValueError as exc:
+        raise FormatError(f"bad --example {args.example!r}: {exc}") from None
+    return t, f"example:{args.example}"
 
 
 def _load_circle(args):
@@ -144,14 +148,17 @@ def _load_circle(args):
     if args.input:
         return parse_circle_layers(_read_file(args.input)), args.input
     name, _, param = args.example.partition(":")
-    if name == "single":
+    if name in CIRCLE_EXAMPLES:
+        return parse_circle_layers(CIRCLE_EXAMPLES[name]), f"example:{args.example}"
+    if name != "single":
+        raise FormatError(f"unknown circle example {args.example!r}")
+    try:
         m = int(param)
         text = f"circle 1\nC={m}\nlayer: " + " ".join(str(i) for i in range(m)) + "\n"
-    elif name in CIRCLE_EXAMPLES:
-        text = CIRCLE_EXAMPLES[name]
-    else:
-        raise FormatError(f"unknown circle example {args.example!r}")
-    return parse_circle_layers(text), f"example:{args.example}"
+        layers = parse_circle_layers(text)
+    except ValueError as exc:
+        raise FormatError(f"bad --example {args.example!r}: {exc}") from None
+    return layers, f"example:{args.example}"
 
 
 def _coloring_json(coloring):
@@ -207,9 +214,8 @@ def _run_triangulation_command(args):
         return doc, source
     if cmd == "holonomy":
         inv = holonomy_invariants(t)
-        hol = hol_generators(t)
         return {
-            "base_simplex": list(t.simplices[hol.base]),
+            "base_simplex": list(t.simplices[_cached_hol(t).base]),
             "degree": inv["degree"],
             "generator_count": inv["generator_count"],
             "generators": [
@@ -220,13 +226,13 @@ def _run_triangulation_command(args):
             "trivial": inv["trivial"],
         }, source
     if cmd == "color":
+        # is_colorable returns None exactly when the holonomy is nontrivial
         witness = is_colorable(t)
-        hol = hol_generators(t)
         doc = {
             "colors": t.dimension + 1,
             "colorable": witness is not None,
             "coloring": _coloring_json(witness),
-            "holonomy_nontrivial": not hol.trivial,
+            "holonomy_nontrivial": witness is None,
         }
         if witness is None:
             raise DomainFailure(doc, ["no forced coloring exists"], source)

@@ -1,9 +1,10 @@
 """Integral simplicial homology via exact Smith normal form.
 
 Boundary matrices are eliminated over the integers with arbitrary precision;
-no modular shortcuts, so torsion coefficients are exact.  A sparse pass
-eliminates unit pivots (boundary matrices are mostly +-1), then a small dense
-remainder is diagonalised classically.
+no modular shortcuts, so torsion coefficients are exact.  Boundary matrices
+are mostly +-1, so sparse sweeps over the rows first eliminate unit pivots:
+each row is pivoted on its +-1 entry in the column with the fewest rows.
+The small remainder without unit entries is then diagonalised classically.
 """
 
 from __future__ import annotations
@@ -71,8 +72,13 @@ def _dense_diagonal(matrix: list[list[int]]) -> list[int]:
 
 
 def _normalise_divisibility(diagonal: list[int]) -> list[int]:
-    """Rearrange a diagonal into invariant factors d1 | d2 | ... ."""
-    d = [x for x in diagonal if x != 0]
+    """Rearrange a diagonal into invariant factors d1 | d2 | ... .
+
+    A 1 divides everything, so the 1s are counted and set aside before the
+    pairwise gcd loop, which then runs over the non-unit entries only.
+    """
+    ones = diagonal.count(1)
+    d = [x for x in diagonal if x not in (0, 1)]
     changed = True
     while changed:
         changed = False
@@ -82,14 +88,19 @@ def _normalise_divisibility(diagonal: list[int]) -> list[int]:
                     g = gcd(d[i], d[j])
                     d[i], d[j] = g, d[i] * d[j] // g
                     changed = True
-    return sorted(d)
+    return [1] * ones + sorted(d)
 
 
 def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     """Invariant factors of a sparse integer matrix (rows of {col: value}).
 
-    Unit pivots are eliminated sparsely with a Markowitz-style fill heuristic;
-    whatever remains is handled densely.
+    Unit pivots are eliminated sparsely in sweeps over the rows: each row
+    with a +-1 entry is pivoted on the one whose column currently has the
+    fewest rows, which clears that column from the other rows, and the sweep
+    is repeated while the previous one eliminated something.  Choosing the
+    pivot costs O(row length), not a scan of the whole matrix.  Whatever
+    remains (no unit entries) is diagonalised densely.  The input rows are
+    not modified.
     """
     row_data: dict[int, dict[int, int]] = {
         i: {c: v for c, v in row.items() if v} for i, row in enumerate(rows)
@@ -101,47 +112,49 @@ def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
             col_index.setdefault(c, set()).add(i)
 
     ones = 0
-    while True:
-        best = None
-        best_cost = None
-        for i, row in row_data.items():
-            for c, v in row.items():
-                if v in (1, -1):
-                    cost = (len(row) - 1) * (len(col_index[c]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (i, c), cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
-        if best is None:
-            break
-        pr, pc = best
-        pivot_row = row_data[pr]
-        pv = pivot_row[pc]
-        for i in list(col_index[pc]):
-            if i == pr:
+    eliminated = True
+    while eliminated:
+        eliminated = False
+        for pr in list(row_data):
+            pivot_row = row_data.get(pr)
+            if pivot_row is None:  # emptied earlier in this sweep
                 continue
-            row = row_data[i]
-            factor = row[pc] * pv  # pv is +-1, so this is row[pc] / pv
+            pc = None
+            fewest = 0
             for c, v in pivot_row.items():
-                new = row.get(c, 0) - factor * v
-                if new:
-                    if c not in row:
-                        col_index.setdefault(c, set()).add(i)
-                    row[c] = new
-                else:
-                    if c in row:
-                        del row[c]
-                        col_index[c].discard(i)
-            if not row:
-                del row_data[i]
-        for c in pivot_row:
-            col_index[c].discard(pr)
-            if not col_index[c]:
-                del col_index[c]
-        del row_data[pr]
-        ones += 1
+                if v == 1 or v == -1:
+                    count = len(col_index[c])
+                    if pc is None or count < fewest:
+                        pc, fewest = c, count
+                        if count == 1:
+                            break
+            if pc is None:
+                continue
+            pv = pivot_row[pc]
+            for i in list(col_index[pc]):
+                if i == pr:
+                    continue
+                row = row_data[i]
+                factor = row[pc] * pv  # pv is +-1, so this is row[pc] / pv
+                for c, v in pivot_row.items():
+                    new = row.get(c, 0) - factor * v
+                    if new:
+                        if c not in row:
+                            col_index.setdefault(c, set()).add(i)
+                        row[c] = new
+                    else:
+                        if c in row:
+                            del row[c]
+                            col_index[c].discard(i)
+                if not row:
+                    del row_data[i]
+            for c in pivot_row:
+                col_index[c].discard(pr)
+                if not col_index[c]:
+                    del col_index[c]
+            del row_data[pr]
+            ones += 1
+            eliminated = True
 
     factors = [1] * ones
     if row_data:

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import colorplex
 from colorplex import (
     circle_layers_to_text,
+    cli,
     gem_to_text,
+    holonomy,
     parse_circle_layers,
     parse_gem,
     parse_triangulation,
@@ -17,13 +21,27 @@ TETRA = "dim 2\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 OPEN_DISK = "dim 2\n0 1 2\n0 1 3\n0 2 3\n"
 MINIMAL_GEM = "gem 3\n0 1 1\n0 1 2\n0 1 3\n0 1 4\n"
 TWO_LAYERS = "circle 2\nC=4\nlayer: 0 2\nlayer: 1 3\n"
+# the barycentric 2-sphere with two far-apart vertices identified (as vertex
+# 0): it validates, but the forced colors disagree around the pinch
+PINCHED_SPHERE = (
+    "dim 2\n0 1 7\n0 1 8\n0 2 7\n0 2 9\n0 3 8\n0 3 9\n0 4 10\n0 4 11\n"
+    "0 5 10\n0 5 12\n0 6 11\n0 6 12\n1 4 10\n1 4 11\n1 7 10\n1 8 11\n"
+    "2 5 10\n2 5 12\n2 7 10\n2 9 12\n3 6 11\n3 6 12\n3 8 11\n3 9 12\n"
+)
+
+
+# the child process imports the same colorplex as this one, also when the
+# package directory reached sys.path only through pytest's configuration
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(colorplex.__file__)))
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "colorplex", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -31,6 +49,11 @@ def run_cli(*args):
 def run_json(*args):
     code, out, _err = run_cli(*args)
     return code, json.loads(out)
+
+
+def run_in_process(capsys, *args):
+    code = cli.main(list(args))
+    return code, json.loads(capsys.readouterr().out)
 
 
 def test_validate_example_passes():
@@ -65,6 +88,55 @@ def test_syntax_error_exits_2(tmp_path):
     code, doc = run_json("validate", str(path))
     assert code == 2
     assert "line 2" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("validate", "--example", "torus7:x"),
+        ("validate", "--example", "nosuch"),
+        ("validate", "--example", "torus7:3"),
+        ("circle", "holonomy", "--example", "single:abc"),
+        ("circle", "holonomy", "--example", "single:1"),
+    ],
+    ids=[
+        "bad-parameter",
+        "unknown-name",
+        "wrong-arity",
+        "circle-single-bad-parameter",
+        "circle-single-too-few-points",
+    ],
+)
+def test_bad_example_spec_exits_2(capsys, args):
+    code, doc = run_in_process(capsys, *args)
+    assert code == 2
+    assert doc["result"] is None
+    assert doc["diagnostics"][0].startswith(f"bad --example {args[-1]!r}")
+
+
+def test_value_error_from_computation_exits_1(capsys, tmp_path):
+    path = tmp_path / "pinched.tri"
+    path.write_text(PINCHED_SPHERE)
+    code, doc = run_in_process(capsys, "color", str(path))
+    assert code == 1
+    assert "manifold" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "args", [("color", "--example", "torus7"), ("holonomy", "--example", "torus7")]
+)
+def test_hol_generators_runs_once_per_invocation(capsys, monkeypatch, args):
+    calls = []
+    original = holonomy.hol_generators
+
+    def counting(t, **kwargs):
+        calls.append(t)
+        return original(t, **kwargs)
+
+    monkeypatch.setattr(holonomy, "hol_generators", counting)
+    holonomy._cached_hol.cache_clear()
+    run_in_process(capsys, *args)
+    assert len(calls) == 1
 
 
 def test_unknown_subcommand_exits_2():

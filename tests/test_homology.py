@@ -1,3 +1,8 @@
+import importlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from colorplex import (
     barycentric_subdivide,
     euler_characteristic,
@@ -10,6 +15,7 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
+from colorplex.homology import _dense_diagonal, _normalise_divisibility
 
 
 def _dense(rows):
@@ -45,6 +51,83 @@ def test_snf_divisibility_chain():
     for f in factors:
         prod *= f
     assert prod == 900
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 8x8 with entries in -6..6, biased towards 0 and +-1 as in
+    boundary matrices, and with some rows and columns zeroed out."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-6, 6))
+    matrix = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        matrix[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in matrix:
+            row[j] = 0
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_snf_matches_dense_and_sympy_oracles(matrix):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    factors = smith_invariant_factors(_dense(matrix))
+    assert factors == _normalise_divisibility(_dense_diagonal(matrix))
+    snf = smith_normal_form(Matrix(matrix), domain=ZZ)
+    diagonal = [abs(snf[k, k]) for k in range(min(snf.shape))]
+    assert factors == [int(d) for d in diagonal if d]
+
+
+def test_snf_dense_remainder_after_unit_elimination(monkeypatch):
+    # the package attribute colorplex.homology is the function, not the module
+    module = importlib.import_module("colorplex.homology")
+    remainders = []
+
+    def recording(matrix):
+        remainders.append([row[:] for row in matrix])
+        return _dense_diagonal(matrix)
+
+    monkeypatch.setattr(module, "_dense_diagonal", recording)
+    # two unit rows whose elimination turns the last two rows into the
+    # block [[2, 4], [6, 8]], which has no unit entry left
+    matrix = [[1, 1, 0, 0], [0, -1, 0, 0], [2, 0, 2, 4], [0, 3, 6, 8]]
+    assert smith_invariant_factors(_dense(matrix)) == [1, 1, 2, 4]
+    assert remainders == [[[2, 4], [6, 8]]]
+
+
+def test_normalise_sets_units_aside():
+    assert _normalise_divisibility([1] * 5000 + [6, 10, 15]) == [1] * 5001 + [30, 30]
+
+
+def _subdivided(t, times):
+    for _ in range(times):
+        t, _coloring = barycentric_subdivide(t)
+    return t
+
+
+def test_homology_7_sphere_at_scale():
+    profile = homology(cross_polytope_boundary(7))
+    assert profile.betti == (1, 0, 0, 0, 0, 0, 0, 1)
+    assert all(ts == () for ts in profile.torsion)
+
+
+def test_homology_thrice_subdivided_torus():
+    t = _subdivided(torus7(), 3)
+    assert len(t.simplices) == 3024
+    profile = homology(t)
+    assert profile.betti == (1, 2, 1)
+    assert profile.torsion == ((), (), ())
+
+
+def test_homology_twice_subdivided_projective_plane():
+    profile = homology(_subdivided(rp2_6(), 2))
+    assert profile.betti == (1, 0, 0)
+    assert profile.torsion == ((), (2,), ())
 
 
 def test_homology_sphere():
