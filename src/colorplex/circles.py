@@ -38,6 +38,22 @@ class Arc:
         return self.start <= p <= self.end or self.start <= p + circumference <= self.end
 
 
+def _layer_fault(li: int, points, circumference: Fraction) -> str | None:
+    """Why layer ``li`` is unusable on its own, or None: fewer than 2
+    points, a position outside [0, circumference), or positions that do not
+    strictly increase."""
+    if len(points) < 2:
+        return f"layer {li} has {len(points)} points; need >= 2"
+    for p in points:
+        if not isinstance(p, Fraction):
+            return f"position {p!r} is not a Fraction"
+        if not 0 <= p < circumference:
+            return f"position {p} outside [0, {circumference})"
+    if any(a >= b for a, b in zip(points, points[1:])):
+        return f"layer {li} positions must be strictly increasing"
+    return None
+
+
 @dataclass(frozen=True)
 class CircleLayers:
     """j layers of boundary points on a common circle.
@@ -57,20 +73,15 @@ class CircleLayers:
             raise ValueError("at least one layer required")
         seen: dict[Fraction, int] = {}
         for li, points in enumerate(self.layers, start=1):
-            if len(points) < 2:
-                raise ValueError(f"layer {li} has {len(points)} points; need >= 2")
+            fault = _layer_fault(li, points, c)
+            if fault is not None:
+                raise ValueError(fault)
             for p in points:
-                if not isinstance(p, Fraction):
-                    raise ValueError(f"position {p!r} is not a Fraction")
-                if not 0 <= p < c:
-                    raise ValueError(f"position {p} outside [0, {c})")
                 if p in seen:
                     raise ValueError(
                         f"duplicate position {p} (layers {seen[p]} and {li})"
                     )
                 seen[p] = li
-            if tuple(sorted(points)) != points:
-                raise ValueError(f"layer {li} positions must be strictly increasing")
 
     @property
     def j(self) -> int:
@@ -121,7 +132,9 @@ def parse_circle_layers(text: str) -> CircleLayers:
 
     Content lines ('#' comments and blanks skipped): ``circle <j>``, then
     ``C=<positive rational>``, then j lines ``layer: p1 p2 ...`` with the
-    positions as integers or ``a/b`` fractions.
+    positions as integers or ``a/b`` fractions.  Raises FormatError for
+    anything one line gets wrong on its own, a layer's own faults included;
+    a position shared by two layers stays the ValueError of CircleLayers.
     """
     lines = [
         (no, ln.strip())
@@ -138,12 +151,16 @@ def parse_circle_layers(text: str) -> CircleLayers:
         j = int(parts[1])
     except ValueError:
         raise FormatError(f"bad layer count {parts[1]!r}", no) from None
+    if j < 1:
+        raise FormatError("at least one layer required", no)
     if len(lines) < 2:
         raise FormatError("missing 'C=<rational>' line", no)
     no, cline = lines[1]
     if not cline.startswith("C="):
         raise FormatError(f"expected 'C=<rational>', got {cline!r}", no)
     circumference = _parse_rational(cline[2:].strip(), no)
+    if circumference <= 0:
+        raise FormatError(f"C must be positive, got {cline[2:].strip()}", no)
     layer_lines = lines[2:]
     if len(layer_lines) != j:
         raise FormatError(f"expected {j} layer lines, found {len(layer_lines)}")
@@ -154,6 +171,9 @@ def parse_circle_layers(text: str) -> CircleLayers:
         points = tuple(
             _parse_rational(tok, no) for tok in ln[len("layer:"):].split()
         )
+        fault = _layer_fault(len(layers) + 1, points, circumference)
+        if fault is not None:
+            raise FormatError(fault)
         layers.append(points)
     return CircleLayers(circumference=circumference, layers=tuple(layers))
 

@@ -83,15 +83,6 @@ class LayeredIntersectionData:
                         f"subset {sorted(sub)} has smaller dimension than {sorted(q)}"
                     )
 
-    def layer_of(self, rid: str) -> int:
-        for r, layer in self.regions:
-            if r == rid:
-                return layer
-        raise KeyError(rid)
-
-    def dims(self) -> dict[frozenset[str], int]:
-        return {frozenset(ids): dim for ids, dim in self.intersections}
-
     def region_ids(self) -> tuple[str, ...]:
         return tuple(r for r, _layer in self.regions)
 
@@ -145,13 +136,6 @@ class GammaComplex:
     n: int
     j: int
     cells: tuple[tuple[tuple[str, ...], int], ...]  # (sorted Q, dimension)
-
-    def dimension_of(self, q) -> int:
-        want = frozenset(q)
-        for ids, dim in self.cells:
-            if frozenset(ids) == want:
-                return dim
-        raise KeyError(q)
 
     def census(self) -> dict[int, int]:
         counts: dict[int, int] = {}

@@ -87,13 +87,6 @@ class Gem:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({w for u, v, _c in self.edges for w in (u, v)}))
 
-    def neighbor(self, vertex: int, color: int) -> int:
-        """The unique vertex joined to ``vertex`` by the edge of ``color``."""
-        for u, v, c in self.edges:
-            if c == color and vertex in (u, v):
-                return v if vertex == u else u
-        raise KeyError((vertex, color))
-
     def _color_map(self) -> dict[tuple[int, int], int]:
         m = {}
         for u, v, c in self.edges:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import BudgetError
 from .perms import Permutation, subgroup_closure
-from .triangulation import Triangulation, dual_graph, face_census
+from .triangulation import Triangulation, _facet_index, face_census
 
 BRUTE_FORCE_VERTEX_LIMIT = 40
 
@@ -124,6 +124,14 @@ class HolonomyData:
         return tuple(to_a + from_b)
 
 
+def _transport(colors: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """``propagate`` by positions: the source drops its vertex at position
+    i, the target its vertex at position j, and the shared facet keeps the
+    order of its colors."""
+    rest = colors[:i] + colors[i + 1 :]
+    return rest[:j] + (colors[i],) + rest[j:]
+
+
 def hol_generators(
     t: Triangulation, *, reverse_neighbors: bool = False
 ) -> HolonomyData:
@@ -132,47 +140,47 @@ def hol_generators(
     ``reverse_neighbors`` flips the breadth-first visiting order, producing a
     different spanning tree; when all generators are trivial the resulting
     labelings must not depend on this choice.
-    """
-    dg = dual_graph(t)
-    adjacency = dg.adjacency()
-    for sid in adjacency:
-        adjacency[sid].sort(key=lambda nb: t.simplices[nb[0]])
-        if reverse_neighbors:
-            adjacency[sid].reverse()
 
+    Colors travel by position along the dual edges of the facet index (see
+    ``_transport``), with the same result as ``propagate``.
+    """
+    adjacency = _facet_index(t).adjacency
     count = len(t.simplices)
     parent = [-1] * count
-    labelings: list[SimplexLabeling | None] = [None] * count
-    labelings[0] = base_labeling(t, 0)
-    seen = {0}
+    colors: list[tuple[int, ...] | None] = [None] * count
+    colors[0] = base_labeling(t, 0).colors
     queue = deque([0])
     while queue:
         cur = queue.popleft()
-        for nb, _facet in adjacency[cur]:
-            if nb not in seen:
-                seen.add(nb)
+        for nb, i, j in reversed(adjacency[cur]) if reverse_neighbors else adjacency[cur]:
+            if colors[nb] is None:
                 parent[nb] = cur
-                labelings[nb] = propagate(t, labelings[cur], nb)
+                colors[nb] = _transport(colors[cur], i, j)
                 queue.append(nb)
-    if len(seen) != count:
+    if any(c is None for c in colors):
         raise ValueError("dual graph is disconnected; validate the input first")
 
     generators = []
     permutations = []
-    for a, b, _facet in dg.edges:
-        if parent[a] == b or parent[b] == a:
-            continue
-        crossed = propagate(t, labelings[a], b)
-        tree_lab = labelings[b]
-        images = [0] * (t.dimension + 1)
-        for c_tree, c_cross in zip(tree_lab.colors, crossed.colors):
-            images[c_tree - 1] = c_cross
-        generators.append((a, b))
-        permutations.append(Permutation(tuple(images)))
+    distinct: dict[tuple[int, ...], Permutation] = {}
+    for a, nbs in enumerate(adjacency):
+        for b, i, j in nbs:
+            if b < a or parent[a] == b or parent[b] == a:
+                continue
+            crossed = _transport(colors[a], i, j)
+            images = [0] * (t.dimension + 1)
+            for c_tree, c_cross in zip(colors[b], crossed):
+                images[c_tree - 1] = c_cross
+            key = tuple(images)
+            perm = distinct.get(key)
+            if perm is None:
+                perm = distinct[key] = Permutation(key)
+            generators.append((a, b))
+            permutations.append(perm)
     return HolonomyData(
         base=0,
         parent=tuple(parent),
-        labelings=tuple(labelings),
+        labelings=tuple(map(SimplexLabeling, range(count), colors)),
         generators=tuple(generators),
         permutations=tuple(permutations),
     )
@@ -184,37 +192,43 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     Returns (permutation, degree).  The two colors at the start simplex's
     non-face vertices swap once per step, so the result is that transposition
     raised to the degree: the identity exactly when the degree is even.
+    That law needs the cofaces to form one cycle; when the walk closes
+    before it has visited every coface (the face's link is not connected,
+    as at a pinched vertex) ValueError is raised.
     """
     face = tuple(sorted(face))
     if len(face) != t.dimension - 1:
         raise ValueError(f"{face} is not a codimension-2 face")
-    cofaces = [
-        sid for sid, s in enumerate(t.simplices) if set(face) <= set(s)
-    ]
+    index = _facet_index(t)
+    inside = set(face)
+    candidates = (
+        min((index.stars.get(v, ()) for v in face), key=len)
+        if face
+        else range(len(t.simplices))
+    )
+    cofaces = [sid for sid in candidates if inside <= set(t.simplices[sid])]
     if not cofaces:
         raise ValueError(f"{face} is not a face of any simplex")
-    facet_owner: dict[tuple[int, ...], list[int]] = {}
-    for sid in cofaces:
-        for extra in set(t.simplices[sid]) - set(face):
-            facet = tuple(sorted(face + (extra,)))
-            facet_owner.setdefault(facet, []).append(sid)
 
-    start = min(cofaces)
+    start = cofaces[0]
     path = [start]
     prev = -1
     cur = start
     while True:
         steps = []
-        for extra in sorted(set(t.simplices[cur]) - set(face)):
+        for extra in sorted(set(t.simplices[cur]) - inside):
             facet = tuple(sorted(face + (extra,)))
-            for other in facet_owner[facet]:
-                if other != cur:
-                    steps.append(other)
+            steps.extend(sid for sid, _pos in index.facets[facet] if sid != cur)
         nxt = steps[0] if steps[0] != prev else steps[1]
         path.append(nxt)
         prev, cur = cur, nxt
         if cur == start:
             break
+    if len(path) - 1 != len(cofaces):
+        raise ValueError(
+            f"the link of {face} is not connected: a loop around it meets "
+            f"{len(path) - 1} of its {len(cofaces)} cofaces"
+        )
     return path_permutation(t, path), len(cofaces)
 
 
@@ -240,16 +254,13 @@ def is_colorable(t: Triangulation) -> dict[int, int] | None:
     can leave the extraction inconsistent even with trivial generators; that
     is detected and reported rather than returned.
     """
-    hol = hol_generators(t)
+    hol = _cached_hol(t)
     if not hol.trivial:
         return None
     coloring: dict[int, int] = {}
     for lab in hol.labelings:
         for v, c in zip(t.simplices[lab.simplex], lab.colors):
-            prior = coloring.get(v)
-            if prior is None:
-                coloring[v] = c
-            elif prior != c:
+            if coloring.setdefault(v, c) != c:
                 raise ValueError(
                     f"forced colors disagree at region {v}; "
                     "its star is not a manifold neighborhood"
@@ -312,7 +323,7 @@ def brute_force_colorable(
     return dict(sorted(assignment.items())) if extend(0) else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _cached_hol(t: Triangulation) -> HolonomyData:
     return hol_generators(t)
 
@@ -326,14 +337,18 @@ def holonomy_invariants(t: Triangulation) -> dict:
     if degree > 8:
         raise BudgetError(f"holonomy degree {degree} exceeds the closure limit 8")
     hol = _cached_hol(t)
-    order, _elements = subgroup_closure(hol.permutations, degree=degree)
+    # at most degree! distinct permutations among the generators
+    described = {
+        p: (p.cycle_type(), p.cycle_string()) for p in dict.fromkeys(hol.permutations)
+    }
+    order, _elements = subgroup_closure(described, degree=degree)
     return {
         "degree": degree,
         "generator_count": len(hol.generators),
-        "cycle_types": tuple(p.cycle_type() for p in hol.permutations),
-        "cycle_strings": tuple(p.cycle_string() for p in hol.permutations),
+        "cycle_types": tuple(described[p][0] for p in hol.permutations),
+        "cycle_strings": tuple(described[p][1] for p in hol.permutations),
         "image_order": order,
-        "trivial": hol.trivial,
+        "trivial": all(p.is_identity for p in described),
     }
 
 

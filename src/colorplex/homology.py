@@ -205,7 +205,7 @@ def _boundary_rows(
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def homology(t: Triangulation) -> HomologyProfile:
     """Homology groups H_0..H_n from boundary matrices in Smith normal form."""
     n = t.dimension

@@ -297,7 +297,7 @@ def _suite_circle(seed: int) -> list[dict]:
         if fast is not None:
             ok = ok and verify_circle_coloring(cl, fast)
         if not ok:
-            bad.append((k, cl.to_json() if hasattr(cl, "to_json") else str(cl)))
+            bad.append((k, str(cl)))
     props.append(_prop("sweep matches exhaustive search on seeded instances", not bad, bad[:2]))
 
     bad = []

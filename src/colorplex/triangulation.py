@@ -4,16 +4,21 @@ A complex is stored as its simplicial triangulation: an ``n``-dimensional
 ``Triangulation`` lists the top simplices as (n+1)-element vertex sets.  The
 dual cell structure (regions at the vertices, one dual vertex per simplex,
 dual edges at the shared facets, dual 2-cells at the codimension-2 faces) is
-derived on demand and never materialised.
+read off one facet index, built once per triangulation by
+``_facet_index``: every facet with the (simplex id, position of the dropped
+vertex) pairs of its cofaces, and every vertex with its star.  Validation,
+the dual graph, orientability and the holonomy all read that index.
 
-Everything here is immutable and every function is pure, so concurrent use on
-shared inputs is safe.
+Results derived from a triangulation (the index, ``face_census``,
+``dual_graph``, and in other modules ``homology`` and the holonomy data) are
+cached for the most recent input only, so a process that sees a stream of
+triangulations holds at most one of each.  Everything here is immutable and
+every function is pure, so concurrent use on shared inputs is safe.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,13 +155,42 @@ class ValidationReport:
         }
 
 
-def _facet_incidence(t: Triangulation) -> dict[tuple[int, ...], list[int]]:
-    incidence: dict[tuple[int, ...], list[int]] = {}
+@dataclass(frozen=True)
+class _FacetIndex:
+    """The faces of a triangulation that its dual structure reads.
+
+    ``facets`` maps each (n-1)-face to its (simplex id, position of the
+    dropped vertex) pairs in simplex-id order.  ``adjacency[a]`` lists the
+    dual edges at simplex a as (b, i, j), ascending in b: a and b share the
+    facet that a gets by dropping its vertex at position i and b by dropping
+    its vertex at position j.  ``stars`` maps each vertex to the ascending
+    ids of the simplices containing it.
+    """
+
+    facets: dict[tuple[int, ...], list[tuple[int, int]]]
+    adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
+    stars: dict[int, list[int]]
+
+
+@lru_cache(maxsize=1)
+def _facet_index(t: Triangulation) -> _FacetIndex:
+    dropped = range(t.dimension, -1, -1)  # combinations drop the last vertex first
+    facets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    stars: dict[int, list[int]] = {}
     for sid, s in enumerate(t.simplices):
-        for i in range(len(s)):
-            facet = s[:i] + s[i + 1 :]
-            incidence.setdefault(facet, []).append(sid)
-    return incidence
+        for i, facet in zip(dropped, itertools.combinations(s, t.dimension)):
+            facets.setdefault(facet, []).append((sid, i))
+        for v in s:
+            stars.setdefault(v, []).append(sid)
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in t.simplices]
+    for pairs in facets.values():
+        if len(pairs) == 2:
+            (a, i), (b, j) = pairs
+            adjacency[a].append((b, i, j))
+            adjacency[b].append((a, j, i))
+    return _FacetIndex(
+        facets, tuple(tuple(sorted(nbs)) for nbs in adjacency), stars
+    )
 
 
 def validate(t: Triangulation) -> ValidationReport:
@@ -167,36 +201,29 @@ def validate(t: Triangulation) -> ValidationReport:
     simplices.  Faces of degree 1 (boundary) or >2 (branching) are failures,
     not warnings.
     """
-    incidence = _facet_incidence(t)
+    index = _facet_index(t)
     bad = tuple(
-        sorted((f, len(sids)) for f, sids in incidence.items() if len(sids) != 2)
+        sorted((f, len(pairs)) for f, pairs in index.facets.items() if len(pairs) != 2)
     )
-    closed = not bad
 
     # component count of the facet-adjacency graph
-    adj: dict[int, list[int]] = {sid: [] for sid in range(len(t.simplices))}
-    for sids in incidence.values():
-        if len(sids) == 2:
-            a, b = sids
-            adj[a].append(b)
-            adj[b].append(a)
+    adjacency = index.adjacency
     components = 0
-    seen: set[int] = set()
+    seen = [False] * len(t.simplices)
     for start in range(len(t.simplices)):
-        if start in seen:
+        if seen[start]:
             continue
         components += 1
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            for nb in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for nb, _i, _j in adjacency[stack.pop()]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
     return ValidationReport(
         pure=True,
-        closed=closed,
+        closed=not bad,
         connected=components == 1,
         bad_faces=bad,
         components=components,
@@ -238,7 +265,7 @@ class FaceCensus:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def face_census(t: Triangulation) -> FaceCensus:
     """Enumerate every face of every dimension, each exactly once."""
     n = t.dimension
@@ -291,34 +318,33 @@ class DualGraph:
         return tuple(degs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def dual_graph(t: Triangulation) -> DualGraph:
-    incidence = _facet_incidence(t)
-    edges = []
-    for facet, sids in sorted(incidence.items()):
-        if len(sids) == 2:
-            a, b = sorted(sids)
-            edges.append((a, b, facet))
-    edges.sort()
+    # two simplices share at most one facet, so (a, b) orders the edges
+    edges = sorted(
+        (pairs[0][0], pairs[1][0], facet)
+        for facet, pairs in _facet_index(t).facets.items()
+        if len(pairs) == 2
+    )
     return DualGraph(node_count=len(t.simplices), edges=tuple(edges))
 
 
 def is_even_cyclic(t: Triangulation) -> bool:
     """True iff every closed walk on the dual 1-skeleton has even length,
     i.e. the dual graph is bipartite."""
-    adj = dual_graph(t).adjacency()
-    side: dict[int, int] = {}
+    adjacency = _facet_index(t).adjacency
+    side = [-1] * len(t.simplices)
     for start in range(len(t.simplices)):
-        if start in side:
+        if side[start] >= 0:
             continue
         side[start] = 0
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb, _facet in adj[cur]:
-                if nb not in side:
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nb, _i, _j in adjacency[cur]:
+                if side[nb] < 0:
                     side[nb] = 1 - side[cur]
-                    queue.append(nb)
+                    stack.append(nb)
                 elif side[nb] == side[cur]:
                     return False
     return True
@@ -331,26 +357,20 @@ def orientability(t: Triangulation) -> bool:
     is orientable iff every non-tree adjacency is consistent.  The induced
     boundary orientation of the facet obtained by dropping the vertex at
     sorted position i carries sign (-1)^i, and coherence requires the two
-    induced orientations of a shared facet to cancel.
+    induced orientations of a shared facet to cancel: across a facet dropped
+    at positions i and j the sign flips exactly when i + j is even.
     """
-    adj = dual_graph(t).adjacency()
-    position = [
-        {v: i for i, v in enumerate(s)} for s in t.simplices
-    ]
-
-    def facet_sign(sid: int, facet: tuple[int, ...]) -> int:
-        (dropped,) = set(t.simplices[sid]) - set(facet)
-        return -1 if position[sid][dropped] % 2 else 1
-
-    sign: dict[int, int] = {0: 1}
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for nb, facet in adj[cur]:
-            required = -sign[cur] * facet_sign(cur, facet) * facet_sign(nb, facet)
-            if nb not in sign:
+    adjacency = _facet_index(t).adjacency
+    sign = [0] * len(t.simplices)
+    sign[0] = 1
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        for nb, i, j in adjacency[cur]:
+            required = sign[cur] if (i + j) % 2 else -sign[cur]
+            if not sign[nb]:
                 sign[nb] = required
-                queue.append(nb)
+                stack.append(nb)
             elif sign[nb] != required:
                 return False
     return True

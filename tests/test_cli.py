@@ -254,6 +254,25 @@ def test_circle_duplicate_position_is_domain_error(tmp_path):
     assert "duplicate position" in doc["diagnostics"][0]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "circle 1\nC=4\nlayer: 0\n",
+        "circle 1\nC=4\nlayer: 2 1\n",
+        "circle 1\nC=4\nlayer: 0 5\n",
+        "circle 1\nC=0\nlayer: 0 1\n",
+        "circle 0\nC=4\n",
+    ],
+    ids=["one-point", "decreasing", "outside", "zero-circumference", "no-layers"],
+)
+def test_circle_file_with_a_bad_layer_exits_2(tmp_path, text):
+    path = tmp_path / "bad.circle"
+    path.write_text(text)
+    code, doc = run_json("circle", "holonomy", str(path))
+    assert code == 2
+    assert doc["result"] is None
+
+
 def test_gamma_subcommand(tmp_path):
     payload = {
         "n": 1,

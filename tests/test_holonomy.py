@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import deque
 
 import pytest
 
@@ -9,6 +11,7 @@ from colorplex import (
     base_labeling,
     brute_force_colorable,
     defect_free_four_coloring,
+    dual_graph,
     defect_graphs,
     face_census,
     hol_generators,
@@ -18,6 +21,7 @@ from colorplex import (
     link_loop_permutation,
     path_permutation,
     propagate,
+    validate,
     verify_coloring,
 )
 from colorplex.builders import (
@@ -28,7 +32,7 @@ from colorplex.builders import (
     torus7,
 )
 from colorplex.errors import BudgetError
-from colorplex.perms import compose
+from colorplex.perms import compose, subgroup_closure
 from colorplex.triangulation import Triangulation
 
 
@@ -344,3 +348,135 @@ def test_pinched_pseudomanifold_reports_inconsistency():
     assert hol_generators(t).trivial
     with pytest.raises(ValueError, match="manifold"):
         is_colorable(t)
+
+
+# ---------------------------------------------------------------------------
+# pinched link: a codim-2 face whose cofaces form two cycles
+
+
+def _icosahedron():
+    """Apex 0, upper ring 1-5, lower ring 6-10, apex 11."""
+    faces = []
+    for k in range(5):
+        u, u1 = 1 + k, 1 + (k + 1) % 5
+        lo, lo1 = 6 + k, 6 + (k + 1) % 5
+        faces += [(0, u, u1), (11, lo, lo1), (u, u1, lo), (u1, lo, lo1)]
+    return Triangulation.from_simplices(2, faces)
+
+
+def test_link_loop_rejects_a_pinched_face():
+    ico = _icosahedron()
+    assert all(d == 5 for _f, d in face_census(ico).codim2_degrees)
+    pinched = Triangulation.from_simplices(
+        2, [tuple(0 if v == 11 else v for v in s) for s in ico.simplices]
+    )
+    assert validate(pinched).passed  # closed and dual-connected
+    assert dict(face_census(pinched).codim2_degrees)[(0,)] == 10
+    with pytest.raises(ValueError, match="not connected"):
+        link_loop_permutation(pinched, (0,))
+    for v in range(1, 11):  # the other links are single cycles
+        perm, degree = link_loop_permutation(pinched, (v,))
+        assert perm.is_identity == (degree % 2 == 0)
+
+
+# ---------------------------------------------------------------------------
+# the positional transport of hol_generators against propagate
+
+
+def _propagated_holonomy(t, reverse_neighbors):
+    """hol_generators rebuilt from the reference ``propagate``: the same
+    breadth-first tree over the dual graph, one generator per non-tree edge."""
+    dg = dual_graph(t)
+    adjacency = dg.adjacency()
+    for sid in adjacency:
+        adjacency[sid].sort(key=lambda nb: t.simplices[nb[0]], reverse=reverse_neighbors)
+    parent = [-1] * len(t.simplices)
+    labelings = [None] * len(t.simplices)
+    labelings[0] = base_labeling(t, 0)
+    queue = deque([0])
+    while queue:
+        cur = queue.popleft()
+        for nb, _facet in adjacency[cur]:
+            if labelings[nb] is None:
+                parent[nb] = cur
+                labelings[nb] = propagate(t, labelings[cur], nb)
+                queue.append(nb)
+    generators, permutations = [], []
+    for a, b, _facet in dg.edges:
+        if parent[a] == b or parent[b] == a:
+            continue
+        crossed = propagate(t, labelings[a], b)
+        images = [0] * (t.dimension + 1)
+        for c_tree, c_cross in zip(labelings[b].colors, crossed.colors):
+            images[c_tree - 1] = c_cross
+        generators.append((a, b))
+        permutations.append(Permutation(tuple(images)))
+    return tuple(parent), tuple(labelings), tuple(generators), tuple(permutations)
+
+
+def _examples_and_subdivisions():
+    bases = [
+        simplex_boundary(2),
+        simplex_boundary(3),
+        cross_polytope_boundary(2),
+        cross_polytope_boundary(3),
+        circle(5),
+        torus7(),
+        rp2_6(),
+    ]
+    return bases + [barycentric_subdivide(t)[0] for t in bases]
+
+
+@pytest.mark.parametrize("reverse_neighbors", [False, True])
+def test_hol_generators_match_propagate(reverse_neighbors):
+    for t in _examples_and_subdivisions():
+        hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
+        got = (hol.parent, hol.labelings, hol.generators, hol.permutations)
+        assert got == _propagated_holonomy(t, reverse_neighbors)
+
+
+def test_invariants_over_distinct_generators_match_full_closure():
+    for t in _examples_and_subdivisions():
+        inv = holonomy_invariants(t)
+        perms = hol_generators(t).permutations
+        assert inv["image_order"] == subgroup_closure(perms, degree=t.dimension + 1)[0]
+        assert inv["cycle_types"] == tuple(p.cycle_type() for p in perms)
+        assert inv["cycle_strings"] == tuple(p.cycle_string() for p in perms)
+        assert inv["trivial"] == all(p.is_identity for p in perms)
+
+
+# ---------------------------------------------------------------------------
+# caches keyed on a triangulation hold the most recent input only
+
+
+def test_triangulation_caches_keep_one_entry():
+    # through importlib: the package attribute ``homology`` is the function
+    tri = importlib.import_module("colorplex.triangulation")
+    hom = importlib.import_module("colorplex.homology")
+    hol = importlib.import_module("colorplex.holonomy")
+    caches = (tri._facet_index, tri.face_census, tri.dual_graph, hom.homology, hol._cached_hol)
+    for t in _examples_and_subdivisions():
+        tri.face_census(t)
+        tri.dual_graph(t)
+        hom.homology(t)
+        hol.holonomy_invariants(t)
+        for cache in caches:
+            assert cache.cache_info().currsize <= 1
+
+
+def test_one_holonomy_per_input(monkeypatch):
+    module = importlib.import_module("colorplex.holonomy")
+    calls = []
+    original = module.hol_generators
+
+    def counting(t, **kwargs):
+        calls.append(t)
+        return original(t, **kwargs)
+
+    monkeypatch.setattr(module, "hol_generators", counting)
+    module._cached_hol.cache_clear()
+    inputs = _examples_and_subdivisions()
+    for t in inputs:
+        is_colorable(t)
+        holonomy_invariants(t)
+    assert calls == inputs
