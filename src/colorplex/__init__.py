@@ -7,6 +7,9 @@ colors.  This package computes that machinery for triangulations of closed
 pseudomanifolds, for layered arc systems on the circle with their product
 cell complexes, and for 4-edge-colored graph encodings of 3-complexes, with
 brute-force cross-checks at desk scale.
+
+``colorplex.homology`` is the function, which shadows its submodule; use
+``importlib.import_module("colorplex.homology")`` to reach the module.
 """
 
 __version__ = "0.1.0"

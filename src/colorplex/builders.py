@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _faces
 
 
 def simplex_boundary(n: int) -> Triangulation:
@@ -87,23 +87,16 @@ def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, in
     """Barycentric subdivision plus its dimension colouring.
 
     New vertices correspond to the faces of ``t`` (ids assigned in order of
-    (face dimension, face)); the new simplices are the maximal chains
-    f_0 < f_1 < ... < f_n of faces under inclusion.  The returned colouring
-    maps each new vertex to 1 + dimension of its originating face, which is
-    proper on the 1-skeleton because chain members have distinct dimensions.
+    (face dimension, face), the order of the face lattice); the new
+    simplices are the maximal chains f_0 < f_1 < ... < f_n of faces under
+    inclusion.  The returned colouring maps each new vertex to 1 + dimension
+    of its originating face, which is proper on the 1-skeleton because chain
+    members have distinct dimensions.
     """
     n = t.dimension
-    faces: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for s in t.simplices:
-        for k in range(n + 1):
-            for face in itertools.combinations(s, k + 1):
-                if face not in seen:
-                    seen.add(face)
-                    faces.append(face)
-    faces.sort(key=lambda f: (len(f), f))
+    faces = [f for fs in _faces(t) for f in fs]
     face_id = {f: i for i, f in enumerate(faces)}
-    coloring = {face_id[f]: len(f) for f in faces}
+    coloring = {i: len(f) for i, f in enumerate(faces)}
 
     chains: list[tuple[int, ...]] = []
     for s in t.simplices:

@@ -124,8 +124,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """Read a UTF-8 input file; anything unreadable but present is a
+    usage error (exit 2), and a missing file keeps its own diagnostic."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
 
 
 def _load_triangulation(args):

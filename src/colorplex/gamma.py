@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import FormatError
+
 
 @dataclass(frozen=True)
 class LayeredIntersectionData:
@@ -97,22 +99,37 @@ class LayeredIntersectionData:
         }
 
 
+def _integer(value, key: str) -> int:
+    # a JSON integer; int() would also take true, 1.5 and "1"
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(
+            f"malformed intersection data: {key} must be an integer, got {value!r}"
+        )
+    return value
+
+
 def intersection_data_from_json(source) -> LayeredIntersectionData:
     """Build intersection data from a JSON document (text or parsed dict).
-    Region ids are coerced to strings."""
+    Region ids are coerced to strings.  A missing key, a value of the wrong
+    type or a non-integer ``n``/``j``/``layer``/``dim`` raises
+    :class:`FormatError`; faults between entries (missing singletons or
+    subsets, one-layer meetings) stay the ``ValueError`` of
+    :class:`LayeredIntersectionData`."""
     obj = json.loads(source) if isinstance(source, str) else source
     try:
         regions = tuple(
-            (str(r["id"]), int(r["layer"])) for r in obj["regions"]
+            (str(r["id"]), _integer(r["layer"], "layer")) for r in obj["regions"]
         )
         intersections = tuple(
-            (tuple(sorted(str(x) for x in item["regions"])), int(item["dim"]))
+            (tuple(sorted(str(x) for x in item["regions"])), _integer(item["dim"], "dim"))
             for item in obj["intersections"]
         )
-        n = int(obj["n"])
-        j = int(obj["j"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed intersection data: {exc}") from None
+        n = _integer(obj["n"], "n")
+        j = _integer(obj["j"], "j")
+    except KeyError as exc:
+        raise FormatError(f"malformed intersection data: missing key {exc}") from None
+    except TypeError as exc:
+        raise FormatError(f"malformed intersection data: {exc}") from None
     intersections = tuple(
         sorted(intersections, key=lambda kv: (len(kv[0]), kv[0]))
     )

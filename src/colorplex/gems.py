@@ -227,6 +227,7 @@ class GemReport:
 
     @property
     def ecpx(self) -> bool:
+        """An invariant, always true: bicolored cycles alternate colors."""
         return all(
             length % 2 == 0
             for _pair, lengths in self.cycle_lengths

@@ -9,12 +9,11 @@ The small remainder without unit entries is then diagonalised classically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .triangulation import Triangulation, euler_characteristic
+from .triangulation import Triangulation, _faces, euler_characteristic
 
 
 def _dense_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -193,7 +192,7 @@ class HomologyProfile:
 
 
 def _boundary_rows(
-    k_faces: list[tuple[int, ...]], lower_index: dict[tuple[int, ...], int]
+    k_faces: tuple[tuple[int, ...], ...], lower_index: dict[tuple[int, ...], int]
 ) -> list[dict[int, int]]:
     rows = []
     for face in k_faces:
@@ -209,16 +208,7 @@ def _boundary_rows(
 def homology(t: Triangulation) -> HomologyProfile:
     """Homology groups H_0..H_n from boundary matrices in Smith normal form."""
     n = t.dimension
-    faces_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    seen: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-    for s in t.simplices:
-        for k in range(n + 1):
-            for face in itertools.combinations(s, k + 1):
-                if face not in seen[k]:
-                    seen[k].add(face)
-                    faces_by_dim[k].append(face)
-    for fs in faces_by_dim:
-        fs.sort()
+    faces_by_dim = _faces(t)
 
     # factors[k] = invariant factors of the boundary map C_k -> C_{k-1}
     factors: list[list[int]] = [[] for _ in range(n + 2)]

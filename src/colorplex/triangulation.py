@@ -4,12 +4,15 @@ A complex is stored as its simplicial triangulation: an ``n``-dimensional
 ``Triangulation`` lists the top simplices as (n+1)-element vertex sets.  The
 dual cell structure (regions at the vertices, one dual vertex per simplex,
 dual edges at the shared facets, dual 2-cells at the codimension-2 faces) is
-read off one facet index, built once per triangulation by
-``_facet_index``: every facet with the (simplex id, position of the dropped
-vertex) pairs of its cofaces, and every vertex with its star.  Validation,
-the dual graph, orientability and the holonomy all read that index.
+read off two indexes, each built once per triangulation.  The face lattice
+``_faces`` lists the faces of each dimension 0..n in sorted order, a face's
+position being its face id; the census, the Euler characteristic, homology
+and barycentric subdivision read it.  The facet index ``_facet_index`` holds
+every facet with the (simplex id, position of the dropped vertex) pairs of
+its cofaces, and every vertex with its star; validation, the dual graph,
+orientability and the holonomy read it.
 
-Results derived from a triangulation (the index, ``face_census``,
+Results derived from a triangulation (the two indexes, ``face_census``,
 ``dual_graph``, and in other modules ``homology`` and the holonomy data) are
 cached for the most recent input only, so a process that sees a stream of
 triangulations holds at most one of each.  Everything here is immutable and
@@ -18,9 +21,10 @@ every function is pure, so concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, repeat
 
 from .errors import FormatError
 
@@ -130,7 +134,8 @@ def triangulation_to_text(t: Triangulation) -> str:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Pass/fail record for purity, closedness and dual connectivity."""
+    """Pass/fail record for purity, closedness and dual connectivity.
+    ``pure`` is an invariant, always true: every simplex has n+1 vertices."""
 
     pure: bool
     closed: bool
@@ -178,7 +183,7 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
     facets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     stars: dict[int, list[int]] = {}
     for sid, s in enumerate(t.simplices):
-        for i, facet in zip(dropped, itertools.combinations(s, t.dimension)):
+        for i, facet in zip(dropped, combinations(s, t.dimension)):
             facets.setdefault(facet, []).append((sid, i))
         for v in s:
             stars.setdefault(v, []).append(sid)
@@ -266,27 +271,30 @@ class FaceCensus:
 
 
 @lru_cache(maxsize=1)
-def face_census(t: Triangulation) -> FaceCensus:
-    """Enumerate every face of every dimension, each exactly once."""
-    n = t.dimension
-    faces: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-    codim2: dict[tuple[int, ...], int] = {}
-    for s in t.simplices:
-        for k in range(n + 1):
-            for face in itertools.combinations(s, k + 1):
-                faces[k].add(face)
-        if n >= 2:
-            for face in itertools.combinations(s, n - 1):
-                codim2[face] = codim2.get(face, 0) + 1
-    return FaceCensus(
-        counts=tuple(len(fs) for fs in faces),
-        codim2_degrees=tuple(sorted(codim2.items())),
+def _faces(t: Triangulation) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The face lattice: the faces of dimension 0..n, one sorted tuple per
+    dimension; a face's position in its tuple is its face id."""
+    below = tuple(
+        tuple(sorted(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1))))))
+        for k in range(t.dimension)
     )
+    return below + (t.simplices,)
+
+
+@lru_cache(maxsize=1)
+def face_census(t: Triangulation) -> FaceCensus:
+    """Face counts by dimension, and the degree of every codim-2 face."""
+    n = t.dimension
+    faces = _faces(t)
+    codim2 = ()
+    if n >= 2:
+        degree = Counter(chain.from_iterable(map(combinations, t.simplices, repeat(n - 1))))
+        codim2 = tuple((f, degree[f]) for f in faces[n - 2])
+    return FaceCensus(counts=tuple(map(len, faces)), codim2_degrees=codim2)
 
 
 def euler_characteristic(t: Triangulation) -> int:
-    counts = face_census(t).counts
-    return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))
+    return sum(len(fs) if k % 2 == 0 else -len(fs) for k, fs in enumerate(_faces(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,16 @@ def test_subdivision_of_tetrahedron_boundary():
     assert verify_coloring(sub, coloring, 3)
 
 
+def test_subdivision_numbers_faces_by_dimension_then_face():
+    sub, coloring = barycentric_subdivide(simplex_boundary(2))
+    # vertices 0..3, then edges 01 02 03 12 13 23, then triangles 012 013 023 123
+    assert coloring == {i: 1 if i < 4 else 2 if i < 10 else 3 for i in range(14)}
+    assert sub.simplices[0] == (0, 4, 10)  # vertex 0 < edge 01 < triangle 012
+    assert (1, 8, 11) in sub.simplices  # vertex 1 < edge 13 < triangle 013
+    assert (3, 9, 13) in sub.simplices  # vertex 3 < edge 23 < triangle 123
+    assert (0, 9, 13) not in sub.simplices  # vertex 0 is not in edge 23
+
+
 def test_subdivision_of_circle_alternates():
     sub, coloring = barycentric_subdivide(circle(3))
     assert sub.dimension == 1

@@ -29,6 +29,18 @@ PINCHED_SPHERE = (
     "2 5 10\n2 5 12\n2 7 10\n2 9 12\n3 6 11\n3 6 12\n3 8 11\n3 9 12\n"
 )
 
+# two arcs of one layer on a circle, meeting in two points
+GAMMA_ARC_PAIR = {
+    "n": 1,
+    "j": 1,
+    "regions": [{"id": "a", "layer": 1}, {"id": "b", "layer": 1}],
+    "intersections": [
+        {"regions": ["a"], "dim": 1},
+        {"regions": ["b"], "dim": 1},
+        {"regions": ["a", "b"], "dim": 0},
+    ],
+}
+
 
 # the child process imports the same colorplex as this one, also when the
 # package directory reached sys.path only through pytest's configuration
@@ -80,6 +92,27 @@ def test_file_not_found_exits_2():
     code, doc = run_json("validate", "nosuchfile.tri")
     assert code == 2
     assert "not found" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("validate",), ("gem", "report"), ("circle", "holonomy"), ("gamma",)],
+    ids=["triangulation", "gem", "circle", "gamma"],
+)
+def test_undecodable_file_exits_2(capsys, tmp_path, args):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe\n")
+    code, doc = run_in_process(capsys, *args, str(path))
+    assert code == 2
+    assert doc["result"] is None
+    assert doc["diagnostics"][0].startswith(f"cannot read {path}: 'utf-8' codec")
+
+
+def test_directory_input_exits_2(capsys, tmp_path):
+    code, doc = run_in_process(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert doc["result"] is None
+    assert doc["diagnostics"][0].startswith(f"cannot read {tmp_path}: ")
 
 
 def test_syntax_error_exits_2(tmp_path):
@@ -274,21 +307,40 @@ def test_circle_file_with_a_bad_layer_exits_2(tmp_path, text):
 
 
 def test_gamma_subcommand(tmp_path):
-    payload = {
-        "n": 1,
-        "j": 1,
-        "regions": [{"id": "a", "layer": 1}, {"id": "b", "layer": 1}],
-        "intersections": [
-            {"regions": ["a"], "dim": 1},
-            {"regions": ["b"], "dim": 1},
-            {"regions": ["a", "b"], "dim": 0},
-        ],
-    }
     path = tmp_path / "data.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(GAMMA_ARC_PAIR))
     code, doc = run_json("gamma", str(path))
     assert code == 0
     assert doc["result"]["gamma"]["cells_by_dimension"] == {"0": 1, "1": 2}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 1}, "missing key 'regions'"),
+        (dict(GAMMA_ARC_PAIR, n="x"), "n must be an integer, got 'x'"),
+        (dict(GAMMA_ARC_PAIR, j=1.5), "j must be an integer, got 1.5"),
+        (dict(GAMMA_ARC_PAIR, regions=[{"id": "a"}]), "missing key 'layer'"),
+        (dict(GAMMA_ARC_PAIR, intersections=[7]), "'int' object is not subscriptable"),
+    ],
+    ids=["missing-key", "non-integer-n", "fractional-j", "region-without-layer", "wrong-type"],
+)
+def test_malformed_gamma_file_exits_2(capsys, tmp_path, payload, message):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    code, doc = run_in_process(capsys, "gamma", str(path))
+    assert code == 2
+    assert doc["result"] is None
+    assert doc["diagnostics"][0].startswith("malformed intersection data: " + message)
+
+
+def test_gamma_cross_entry_fault_exits_1(capsys, tmp_path):
+    payload = dict(GAMMA_ARC_PAIR, intersections=GAMMA_ARC_PAIR["intersections"][1:])
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    code, doc = run_in_process(capsys, "gamma", str(path))
+    assert code == 1
+    assert "singleton" in doc["diagnostics"][0]
 
 
 def test_gem_report_and_dot(tmp_path):

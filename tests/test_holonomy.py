@@ -454,7 +454,14 @@ def test_triangulation_caches_keep_one_entry():
     tri = importlib.import_module("colorplex.triangulation")
     hom = importlib.import_module("colorplex.homology")
     hol = importlib.import_module("colorplex.holonomy")
-    caches = (tri._facet_index, tri.face_census, tri.dual_graph, hom.homology, hol._cached_hol)
+    caches = (
+        tri._faces,
+        tri._facet_index,
+        tri.face_census,
+        tri.dual_graph,
+        hom.homology,
+        hol._cached_hol,
+    )
     for t in _examples_and_subdivisions():
         tri.face_census(t)
         tri.dual_graph(t)

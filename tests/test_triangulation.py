@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 
 from colorplex import (
     FormatError,
     Triangulation,
+    barycentric_subdivide,
     dual_graph,
     euler_characteristic,
     face_census,
+    homology,
     is_even_cyclic,
     orientability,
     parse_triangulation,
@@ -16,6 +20,7 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
+from colorplex.triangulation import _faces
 
 TETRA_TEXT = """\
 # boundary of the 3-simplex
@@ -204,3 +209,37 @@ def test_euler_characteristic_values():
     assert euler_characteristic(simplex_boundary(2)) == 2
     assert euler_characteristic(torus7()) == 0  # 7 - 21 + 14
     assert euler_characteristic(rp2_6()) == 1  # 6 - 15 + 10
+
+
+# ---------------------------------------------------------------------------
+# the face lattice
+
+
+def test_face_lattice_matches_a_set_enumeration():
+    bases = [
+        simplex_boundary(2),
+        simplex_boundary(3),
+        cross_polytope_boundary(2),
+        cross_polytope_boundary(3),
+        circle(5),
+        torus7(),
+        rp2_6(),
+    ]
+    for t in bases + [barycentric_subdivide(b)[0] for b in bases]:
+        expected = tuple(
+            tuple(sorted({f for s in t.simplices for f in itertools.combinations(s, k + 1)}))
+            for k in range(t.dimension + 1)
+        )
+        assert _faces(t) == expected
+
+
+def test_census_euler_and_homology_share_one_face_lattice():
+    # vertex ids no other test uses, so no cache holds this input yet
+    t = Triangulation.from_simplices(
+        3, [tuple(v + 1000 for v in s) for s in cross_polytope_boundary(3).simplices]
+    )
+    misses = _faces.cache_info().misses
+    face_census(t)
+    euler_characteristic(t)
+    homology(t)
+    assert _faces.cache_info().misses == misses + 1
