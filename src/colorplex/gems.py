@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import FormatError
 from .triangulation import Triangulation, dual_graph
 
@@ -193,7 +191,12 @@ def _subgraph_components(g: Gem, colors) -> list[tuple[tuple[int, ...], tuple[tu
 
 
 def is_planar_multigraph(vertices, edges) -> bool:
-    """Exact planarity after reducing parallel edges (they never matter)."""
+    """Exact planarity after reducing parallel edges (they never matter).
+
+    networkx is imported here, not at module level: it is most of the
+    package's import time, and only the gem report needs it."""
+    import networkx as nx
+
     simple = nx.Graph()
     simple.add_nodes_from(vertices)
     simple.add_edges_from((u, v) for u, v, *_ in edges)

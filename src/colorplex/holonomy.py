@@ -364,6 +364,12 @@ class DefectGraphs:
     odd-degree edge (their dual star is not 4-colorable).  ``odd_edges`` has
     one edge per odd-degree edge of the triangulation; ``adjacency_edges``
     adds the even-degree edges whose endpoints both sit in ``regions``.
+
+    ``odd_degrees_even`` (the CLI ``defects`` field of that name) is an
+    invariant, always true on a result of :func:`defect_graphs`: every region
+    lies on an even number of odd-degree edges, and :func:`defect_graphs`
+    raises rather than return a value where it is false.  It stays in the
+    JSON.
     """
 
     regions: frozenset[int]

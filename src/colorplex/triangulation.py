@@ -366,19 +366,23 @@ def orientability(t: Triangulation) -> bool:
     boundary orientation of the facet obtained by dropping the vertex at
     sorted position i carries sign (-1)^i, and coherence requires the two
     induced orientations of a shared facet to cancel: across a facet dropped
-    at positions i and j the sign flips exactly when i + j is even.
+    at positions i and j the sign flips exactly when i + j is even.  A
+    disconnected complex is orientable iff every component is.
     """
     adjacency = _facet_index(t).adjacency
     sign = [0] * len(t.simplices)
-    sign[0] = 1
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nb, i, j in adjacency[cur]:
-            required = sign[cur] if (i + j) % 2 else -sign[cur]
-            if not sign[nb]:
-                sign[nb] = required
-                stack.append(nb)
-            elif sign[nb] != required:
-                return False
+    for start in range(len(t.simplices)):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nb, i, j in adjacency[cur]:
+                required = sign[cur] if (i + j) % 2 else -sign[cur]
+                if not sign[nb]:
+                    sign[nb] = required
+                    stack.append(nb)
+                elif sign[nb] != required:
+                    return False
     return True

@@ -58,6 +58,18 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_cli_import_leaves_networkx_unloaded():
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, colorplex.cli; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def run_json(*args):
     code, out, _err = run_cli(*args)
     return code, json.loads(out)

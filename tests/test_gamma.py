@@ -13,6 +13,7 @@ from colorplex import (
     gamma_coloring_transfer,
     intersection_data_from_json,
 )
+from colorplex import oracles
 from colorplex.oracles import random_circle_layers
 
 INTERLEAVED = CircleLayers(F(4), ((F(0), F(2)), (F(1), F(3))))
@@ -65,13 +66,22 @@ def test_nested_intersections_collapse_duplicate_stabs():
     gamma_complex(data)  # laws still hold
 
 
+def _assert_vertex_facets_are_cells(complex_):
+    # each vertex Q touches n + j edges: all its (n + j - 1)-subsets are cells
+    cells = {ids for ids, _dim in complex_.cells}
+    n_plus_j = complex_.n + complex_.j
+    for q in complex_.vertices():
+        assert len(q) == n_plus_j
+        for sub in itertools.combinations(q, n_plus_j - 1):
+            assert sub in cells
+
+
 def test_gamma_dimension_formula_on_interleaved():
     complex_ = gamma_complex(circle_intersections(INTERLEAVED))
     assert complex_.census() == {0: 4, 1: 6, 2: 4}
     for ids, dim in complex_.cells:
         assert dim == 1 + 2 - len(ids)
-    for q in complex_.vertices():
-        assert complex_.vertex_degree(q) == 3
+    _assert_vertex_facets_are_cells(complex_)
 
 
 def test_gamma_laws_on_seeded_instances():
@@ -84,8 +94,19 @@ def test_gamma_laws_on_seeded_instances():
         for ids, dim in complex_.cells:
             assert dim == n_plus_j - len(ids)
             assert len(ids) <= n_plus_j
-        for q in complex_.vertices():
-            assert complex_.vertex_degree(q) == n_plus_j
+        _assert_vertex_facets_are_cells(complex_)
+
+
+def test_gamma_suite_reports_a_law_violation_as_a_counterexample(monkeypatch):
+    def violating(data):
+        raise ValueError("dimension law violated at ['x']")
+
+    monkeypatch.setattr(oracles, "gamma_complex", violating)
+    doc = oracles.run_suite("gamma", seed=0)
+    laws = doc["properties"][0]
+    assert laws["name"] == "dimension and degree laws on 50 seeded instances"
+    assert not laws["passed"] and not doc["passed"]
+    assert laws["counterexample"][0] == (0, "dimension law violated at ['x']")
 
 
 def test_face_relation_is_reverse_inclusion():
@@ -203,6 +224,17 @@ def test_dimension_law_violation_reported_with_offender():
         gamma_complex(data)
 
 
+def test_transfer_raises_the_dimension_law_violation():
+    obj = _json_instance()
+    for x in obj["intersections"]:
+        if x["regions"] == ["a", "c"]:
+            x["dim"] = 0
+    data = intersection_data_from_json(obj)
+    coloring = {r: k for k, r in enumerate(data.region_ids())}
+    with pytest.raises(ValueError, match=r"dimension law.*'a'"):
+        gamma_coloring_transfer(data, coloring)
+
+
 def test_oversized_subset_rejected():
     tiny = LayeredIntersectionData(
         n=1,
@@ -218,5 +250,7 @@ def test_oversized_subset_rejected():
             (("a", "b", "c"), 0),
         ),
     )
-    with pytest.raises(ValueError):
+    # {a, b, c} breaks the dimension law: 1 + 1 - 3 < 0, so |Q| <= n + j
+    # needs no check of its own
+    with pytest.raises(ValueError, match="dimension law"):
         gamma_complex(tiny)

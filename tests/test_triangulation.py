@@ -177,6 +177,19 @@ def test_orientability_textbook_values():
     assert orientability(cross_polytope_boundary(3))
 
 
+def _disjoint_union(first, second, shift=10):
+    simplices = list(first.simplices)
+    simplices += [tuple(v + shift for v in s) for s in second.simplices]
+    return Triangulation.from_simplices(first.dimension, simplices)
+
+
+def test_orientability_checks_every_component():
+    # whichever component holds simplex 0, the projective plane is found
+    assert not orientability(_disjoint_union(torus7(), rp2_6()))
+    assert not orientability(_disjoint_union(rp2_6(), torus7()))
+    assert orientability(_disjoint_union(torus7(), torus7()))
+
+
 def _has_odd_closed_walk(dg):
     """Independent bipartiteness oracle: trace of odd adjacency powers."""
     n = dg.node_count
