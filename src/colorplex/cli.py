@@ -96,8 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
         add_input(p)
 
     p = sub.add_parser("oracle")
-    p.add_argument("suite", nargs="?", choices=SUITE_NAMES, help="property suite")
-    p.add_argument("input", nargs="?", help="triangulation file (with --colors)")
+    p.add_argument(
+        "input",
+        nargs="?",
+        metavar="suite|file",
+        help=f"property suite ({', '.join(SUITE_NAMES)}), or with --colors a triangulation file",
+    )
     p.add_argument("--example", help="built-in instance, name:params")
     p.add_argument("--colors", type=int, help="brute-force search with this many colors")
     p.add_argument("--seed", type=int, default=0, help="seed for random instances")
@@ -277,13 +281,13 @@ def _run_triangulation_command(args):
 
 
 def _run_oracle(args):
-    if args.suite is not None:
-        doc = run_suite(args.suite, seed=args.seed)
-        if not doc["passed"]:
-            raise DomainFailure(doc, ["suite reported failures"], f"suite:{args.suite}")
-        return doc, f"suite:{args.suite}"
     if args.colors is None:
-        raise FormatError("oracle needs either a suite name or --colors")
+        if args.input is None:
+            raise FormatError("oracle needs either a suite name or --colors")
+        doc = run_suite(args.input, seed=args.seed)
+        if not doc["passed"]:
+            raise DomainFailure(doc, ["suite reported failures"], f"suite:{args.input}")
+        return doc, f"suite:{args.input}"
     t, source = _load_triangulation(args)
     _require_valid(t, source)
     witness = brute_force_colorable(t, args.colors)
@@ -351,6 +355,8 @@ def _emit(document: dict, quiet: bool) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "oracle" and args.colors is None and args.input not in (None, *SUITE_NAMES):
+        parser.error(f"oracle: unknown suite {args.input!r}; choose from {', '.join(SUITE_NAMES)}")
     document = {
         "tool": "colorplex",
         "version": __version__,

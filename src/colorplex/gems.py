@@ -6,6 +6,12 @@ is the one color missing around the facet.  Cycles alternating two colors
 trace the dual 2-cells; dropping one color leaves subgraphs that bound the
 regions of that color, so their component count recovers the region count and
 V - E + F - R recovers the Euler characteristic.
+
+Whether each of those subgraphs (the residues) is planar is decided here by
+the left-right planarity test of Brandes, "The Left-Right Planarity Test"
+(2009), after de Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux trees
+and planarity" (IJFCS 2006).  Only the verdict is computed: no embedding is
+ever built.
 """
 
 from __future__ import annotations
@@ -164,44 +170,261 @@ def bicolored_cycles(g: Gem, a: int, b: int) -> tuple[int, ...]:
 
 def _subgraph_components(g: Gem, colors) -> list[tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
     """Connected components of the spanning subgraph on the given colors,
-    as (vertex tuple, edge tuple) pairs sorted by least vertex."""
+    as (vertex tuple, edge tuple) pairs sorted by least vertex; each
+    component keeps its edges in the gem's edge order."""
     colors = set(colors)
-    adj: dict[int, set[int]] = {w: set() for w in g.vertices}
     kept = [(u, v, c) for u, v, c in g.edges if c in colors]
+    adj: dict[int, list[int]] = {w: [] for w in g.vertices}
     for u, v, _c in kept:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[int] = set()
-    components = []
-    for start in g.vertices:
-        if start in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    component: dict[int, int] = {}
+    members: list[tuple[int, ...]] = []
+    for start in adj:
+        if start in component:
             continue
+        cid = len(members)
+        component[start] = cid
         stack = [start]
-        comp = set()
+        comp = [start]
         while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adj[cur] - comp)
-        seen |= comp
-        comp_edges = tuple(e for e in kept if e[0] in comp)
-        components.append((tuple(sorted(comp)), comp_edges))
-    return components
+            for nxt in adj[stack.pop()]:
+                if nxt not in component:
+                    component[nxt] = cid
+                    comp.append(nxt)
+                    stack.append(nxt)
+        members.append(tuple(sorted(comp)))
+    buckets: list[list[tuple[int, int, int]]] = [[] for _ in members]
+    for edge in kept:
+        buckets[component[edge[0]]].append(edge)
+    return [(verts, tuple(bucket)) for verts, bucket in zip(members, buckets)]
 
 
 def is_planar_multigraph(vertices, edges) -> bool:
-    """Exact planarity after reducing parallel edges (they never matter).
+    """Exact planarity of the graph on ``vertices`` with ``edges`` given as
+    (u, v, ...) tuples; loops and parallel edges never change the verdict
+    and are dropped.
 
-    networkx is imported here, not at module level: it is most of the
-    package's import time, and only the gem report needs it."""
-    import networkx as nx
+    The left-right planarity test (Brandes, "The Left-Right Planarity
+    Test", 2009; de Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux
+    trees and planarity", IJFCS 2006), reduced to its verdict:
 
-    simple = nx.Graph()
-    simple.add_nodes_from(vertices)
-    simple.add_edges_from((u, v) for u, v, *_ in edges)
-    ok, _embedding = nx.check_planarity(simple)
-    return ok
+    1. number the vertices 0..V-1 and keep each simple edge once;
+    2. a graph with V > 2 and E > 3V - 6 is not planar (Euler);
+    3. a DFS orients every edge away from the root, tree edges down and back
+       edges up, and computes each edge's ``lowpt``, ``lowpt2`` and nesting
+       depth;
+    4. each vertex's out-edges are sorted by nesting depth;
+    5. a second DFS keeps a stack of conflict pairs of return-edge
+       intervals: ``add_constraints`` merges the intervals of each out-edge
+       after the first, and fails when a pair conflicts on both sides;
+       ``remove_back_edges`` drops the return edges that end at the parent,
+       trimming intervals along ``ref``.
+
+    The graph is planar iff step 5 never fails.  No embedding is built: the
+    ``side`` signs and the edge ordering of the full algorithm are skipped,
+    because only the verdict is read.  Both passes are iterative, so DFS
+    depth is not bounded by the recursion limit; per-edge data lives in flat
+    lists indexed by edge id.
+    """
+    index: dict = {}
+    for v in vertices:
+        index.setdefault(v, len(index))
+    pairs = set()
+    for u, v, *_rest in edges:
+        a = index.setdefault(u, len(index))
+        b = index.setdefault(v, len(index))
+        if a != b:
+            pairs.add((a, b) if a < b else (b, a))
+    n = len(index)
+    if n > 2 and len(pairs) > 3 * n - 6:
+        return False
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    # orientation: edge ei runs src[ei] -> dst[ei]
+    height = [-1] * n
+    parent_edge = [-1] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    depth: list[int] = []
+    roots = []
+
+    def finish(ei, v):
+        """Nesting depth of ei = (v, w) once its lowpoints are final, then
+        fold them into the parent edge of v."""
+        low = lowpt[ei]
+        depth[ei] = 2 * low + (lowpt2[ei] < height[v])
+        e = parent_edge[v]
+        if e >= 0:
+            if low < lowpt[e]:
+                lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                lowpt[e] = low
+            elif low > lowpt[e]:
+                lowpt2[e] = min(lowpt2[e], low)
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+
+    pos = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            nbrs = adj[v]
+            i = pos[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                hw = height[w]
+                # a visited neighbour is the parent, or a descendant that
+                # has already oriented the edge as its back edge
+                if hw >= 0 and hw >= hv - 1:
+                    continue
+                ei = len(src)
+                src.append(v)
+                dst.append(w)
+                out[v].append(ei)
+                lowpt2.append(hv)
+                depth.append(0)
+                if hw < 0:
+                    lowpt.append(hv)
+                    parent_edge[w] = ei
+                    height[w] = hv + 1
+                    stack.append(w)
+                    break
+                lowpt.append(hw)
+                finish(ei, v)
+            pos[v] = i
+            if stack[-1] == v:
+                stack.pop()
+                e = parent_edge[v]
+                if e >= 0:
+                    finish(e, src[e])
+
+    for ol in out:
+        ol.sort(key=depth.__getitem__)
+
+    # testing: a conflict pair is [left.low, left.high, right.low,
+    # right.high], each a return edge id or None for an empty interval
+    stack_pairs: list[list] = []
+    ref: list = [None] * len(src)
+    lowpt_edge: list = [None] * len(src)
+    stack_bottom: list = [None] * len(src)
+    started = [False] * len(src)
+
+    def add_constraints(ei, e):
+        new = [None, None, None, None]
+        # merge the return edges of ei into new.right
+        while True:
+            q = stack_pairs.pop()
+            if q[0] is not None or q[1] is not None:
+                if q[2] is not None or q[3] is not None:
+                    return False
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if lowpt[q[2]] > lowpt[e]:
+                if new[2] is None and new[3] is None:
+                    new[3] = q[3]
+                else:
+                    ref[new[2]] = q[3]
+                new[2] = q[2]
+            else:
+                ref[q[2]] = lowpt_edge[e]
+            top = stack_pairs[-1] if stack_pairs else None
+            if top is stack_bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier out-edges into new.left
+        low = lowpt[ei]
+        while stack_pairs:
+            q = stack_pairs[-1]
+            left_conflicts = q[1] is not None and lowpt[q[1]] > low
+            right_conflicts = q[3] is not None and lowpt[q[3]] > low
+            if not (left_conflicts or right_conflicts):
+                break
+            if left_conflicts and right_conflicts:
+                return False
+            stack_pairs.pop()
+            if right_conflicts:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if new[2] is not None:
+                ref[new[2]] = q[3]
+            if q[2] is not None:
+                new[2] = q[2]
+            if new[0] is None and new[1] is None:
+                new[1] = q[1]
+            else:
+                ref[new[0]] = q[1]
+            new[0] = q[0]
+        if any(end is not None for end in new):
+            stack_pairs.append(new)
+        return True
+
+    def lowest(p):
+        if p[0] is None and p[1] is None:
+            return lowpt[p[2]]
+        if p[2] is None and p[3] is None:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def remove_back_edges(e):
+        u = src[e]
+        hu = height[u]
+        while stack_pairs and lowest(stack_pairs[-1]) == hu:
+            stack_pairs.pop()
+        if stack_pairs:
+            p = stack_pairs[-1]
+            while p[1] is not None and dst[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] is None:
+                p[0] = None
+            while p[3] is not None and dst[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] is None:
+                p[2] = None
+
+    pos = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            ol = out[v]
+            i = pos[v]
+            descended = False
+            while i < len(ol):
+                ei = ol[i]
+                if not started[ei]:
+                    started[ei] = True
+                    stack_bottom[ei] = stack_pairs[-1] if stack_pairs else None
+                    w = dst[ei]
+                    if parent_edge[w] == ei:
+                        pos[v] = i
+                        stack.append(v)
+                        stack.append(w)
+                        descended = True
+                        break
+                    lowpt_edge[ei] = ei
+                    stack_pairs.append([None, None, ei, ei])
+                # integrate the return edges of ei
+                if lowpt[ei] < hv:
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return False
+                i += 1
+            if not descended and e >= 0:
+                remove_back_edges(e)
+    return True
 
 
 @dataclass(frozen=True)

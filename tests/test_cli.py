@@ -47,27 +47,38 @@ GAMMA_ARC_PAIR = {
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(colorplex.__file__)))
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "colorplex", *args],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli(*args):
+    proc = run_python("-m", "colorplex", *args)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, colorplex.cli; print('networkx' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = run_python("-c", "import sys, colorplex.cli; print('networkx' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_gem_report_runs_without_networkx(tmp_path):
+    path = tmp_path / "min.gem"
+    path.write_text(MINIMAL_GEM)
+    # a None entry in sys.modules makes every import of networkx fail
+    script = (
+        "import sys; sys.modules['networkx'] = None; from colorplex import cli; "
+        f"sys.exit(cli.main(['gem', 'report', {str(path)!r}]))"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["all_planar"] is True
 
 
 def run_json(*args):

@@ -102,6 +102,7 @@ CASES += [
     ("holonomy-file-quiet", ["holonomy", "t.tri", "--quiet"], {"t.tri": TETRA}),
     ("subdivide-file-quiet", ["subdivide", "t.tri", "--quiet"], {"t.tri": TETRA}),
     ("oracle-colors-4", ["oracle", "--example", "simplex_boundary:2", "--colors", "4"], {}),
+    ("oracle-colors-file", ["oracle", "t.tri", "--colors", "4"], {"t.tri": TETRA}),
     ("circle-holonomy-interleaved2", ["circle", "holonomy", "--example", "interleaved2"], {}),
     ("circle-color-nested2", ["circle", "color", "--example", "nested2"], {}),
     ("circle-gamma-nested2", ["circle", "gamma", "--example", "nested2"], {}),
@@ -148,8 +149,6 @@ CASES += [
     ("exit2-unknown-subcommand", ["frobnicate"], {}),
     ("exit2-unknown-suite", ["oracle", "nosuch"], {}),
     ("exit2-gem-missing-action", ["gem"], {}),
-    # argparse reads the file name as the suite name
-    ("exit2-oracle-colors-file", ["oracle", "t.tri", "--colors", "4"], {"t.tri": TETRA}),
 ]
 
 

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorplex import (
     Gem,
@@ -18,6 +21,7 @@ from colorplex import (
 )
 from colorplex.builders import cross_polytope_boundary, simplex_boundary
 from colorplex.errors import FormatError
+from colorplex.gems import _subgraph_components
 from colorplex.oracles import random_gem
 from oracle_planarity import planar_oracle
 
@@ -192,3 +196,120 @@ def test_planarity_routes_agree_on_classics():
     # parallel edges never change the verdict
     assert is_planar_multigraph(range(5), k5 + k5) is False
     assert is_planar_multigraph(range(4), k4 + k4) is True
+
+
+def _networkx_planar(vertices, edges):
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(vertices)
+    graph.add_edges_from((u, v) for u, v, *_rest in edges if u != v)
+    return nx.check_planarity(graph)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+        )
+    )
+)
+def test_planarity_matches_networkx_on_random_multigraphs(graph):
+    n, edges = graph
+    assert is_planar_multigraph(range(n), edges) == _networkx_planar(range(n), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 30))
+def test_planarity_matches_networkx_on_gem_residues(seed, half):
+    gem = random_gem(random.Random(seed), 2 * half)
+    for triple in itertools.combinations(range(1, 5), 3):
+        for verts, edges in _subgraph_components(gem, triple):
+            assert is_planar_multigraph(verts, edges) == _networkx_planar(verts, edges)
+
+
+def _maximal_planar(rng, n):
+    """Edges of a random triangulation of the sphere on n >= 3 vertices:
+    vertices inserted into random faces, then random edge flips.  Each
+    oriented face (a, b, c) records ``opposite[(a, b)] = c``."""
+    opposite = {(0, 1): 2, (1, 2): 0, (2, 0): 1, (0, 2): 1, (2, 1): 0, (1, 0): 2}
+
+    def add_face(a, b, c):
+        opposite[(a, b)], opposite[(b, c)], opposite[(c, a)] = c, a, b
+
+    def remove_face(a, b, c):
+        del opposite[(a, b)], opposite[(b, c)], opposite[(c, a)]
+
+    for v in range(3, n):
+        a, b = rng.choice(sorted(opposite))
+        c = opposite[(a, b)]
+        remove_face(a, b, c)
+        add_face(a, b, v)
+        add_face(b, c, v)
+        add_face(c, a, v)
+    for _ in range(2 * n):
+        a, b = rng.choice(sorted(opposite))
+        c, d = opposite[(a, b)], opposite[(b, a)]
+        if c == d or (c, d) in opposite:
+            continue
+        remove_face(a, b, c)
+        remove_face(b, a, d)
+        add_face(a, d, c)
+        add_face(d, b, c)
+    return sorted((a, b) for a, b in opposite if a < b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 120), st.integers(0, 12), st.booleans())
+def test_planarity_matches_networkx_on_maximal_planar_graphs(seed, n, drop, extra):
+    """A triangulation is planar; with one more edge it breaks the Euler
+    bound, and with some edges dropped first the extra edge may or may not
+    fit, which only the DFS phases decide."""
+    rng = random.Random(seed)
+    edges = _maximal_planar(rng, n)
+    assert len(edges) == 3 * n - 6
+    rng.shuffle(edges)
+    del edges[:drop]
+    present = set(edges)
+    missing = [p for p in itertools.combinations(range(n), 2) if extra and p not in present]
+    if missing:
+        edges.append(rng.choice(missing))
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = [(labels[u], labels[v]) for u, v in edges]
+    verdict = is_planar_multigraph(range(n), edges)
+    assert verdict == _networkx_planar(range(n), edges)
+    if not drop:
+        assert verdict == (not missing)
+
+
+def _prism(k):
+    cycle = [(i, (i + 1) % k) for i in range(k)]
+    return cycle + [(k + u, k + v) for u, v in cycle] + [(i, k + i) for i in range(k)]
+
+
+def _moebius_ladder(k):
+    return [(i, (i + 1) % (2 * k)) for i in range(2 * k)] + [(i, i + k) for i in range(k)]
+
+
+def test_planarity_of_large_cubic_families():
+    """The prism C_k x K2 is planar and the Moebius ladder on 2k vertices is
+    not (it contains a subdivided K3,3, and is K3,3 for k = 3); at 20,000
+    vertices the DFS runs far deeper than the recursion limit."""
+    for k in (3, 4, 10_000):
+        assert is_planar_multigraph(range(2 * k), _prism(k))
+        assert not is_planar_multigraph(range(2 * k), _moebius_ladder(k))
+
+
+def test_every_residue_of_the_twice_subdivided_16_cell_is_planar():
+    """Each residue of a 3-sphere's gem bounds a 3-ball region around one
+    vertex, so it is the gem of a 2-sphere: planar, one per vertex."""
+    sub, _coloring = barycentric_subdivide(cross_polytope_boundary(3))
+    sub, coloring = barycentric_subdivide(sub)
+    report = gem_report(gem_from_coloring(sub, coloring))
+    assert report.vertex_count == 9216
+    assert report.r_count == len(sub.vertices)
+    assert report.euler == 0
+    assert report.all_planar
