@@ -6,6 +6,15 @@ j layers need j+1 colors: at any point the j arcs passing through carry j
 distinct colors and one color is free.  Crossing a boundary point of layer i
 swaps layer i's color with the free one, which forces the whole coloring
 along a sweep and yields a permutation in S_{j+1} per lap.
+
+The same sweep decides where the closed arcs meet.  At a boundary point p of
+layer i, one arc of layer i ends and the next begins, and every other layer
+has exactly one arc through p; these j + 1 arcs are p's stab.  An arc subset
+Q meets exactly when it lies in some stab: its meeting set is a union of
+pieces, and each piece begins at the boundary point where one of Q's arcs is
+entered.  So the pieces of Q correspond one to one with the crossings whose
+stab holds Q and whose entered arc is in Q.  A piece is the point p alone
+when Q holds both arcs of layer i at p, and an arc otherwise.
 """
 
 from __future__ import annotations
@@ -32,10 +41,6 @@ class Arc:
     @property
     def id(self) -> str:
         return f"l{self.layer}a{self.index}"
-
-    def covers(self, p: Fraction, circumference: Fraction) -> bool:
-        p = p % circumference
-        return self.start <= p <= self.end or self.start <= p + circumference <= self.end
 
 
 def _layer_fault(li: int, points, circumference: Fraction) -> str | None:
@@ -231,72 +236,52 @@ def circle_holonomy(cl: CircleLayers, *, reverse: bool = False) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _crossings(cl: CircleLayers):
+    """Walk the boundary points in sweep order, keeping the id of the arc
+    underfoot in each layer.  At each point p yield (the arc of p's layer that
+    ends at p, the arc that starts at p, the sorted ids of p's stab)."""
+    arcs = cl.arcs()
+    # at 0+ a layer stands on its arc starting at 0, else on its wrapping arc
+    underfoot = [(layer[0] if layer[0].start == 0 else layer[-1]).id for layer in arcs]
+    for _pos, layer, k in cl.sweep_order():
+        ended, entered = arcs[layer - 1][k - 1], arcs[layer - 1][k]
+        underfoot[layer - 1] = entered.id
+        yield ended, entered, tuple(sorted([ended.id, *underfoot]))
+
+
 def circle_colorable(cl: CircleLayers) -> dict[str, int] | None:
     """The forced coloring of all arcs, or None when the sweep disagrees with
     itself (exactly when the holonomy is not the identity)."""
-    arcs = cl.arcs()
     coloring: dict[str, int] = {}
     state = LayerState.initial(cl.j)
-    for li in range(1, cl.j + 1):
-        layer_arcs = arcs[li - 1]
-        start_arc = layer_arcs[0] if layer_arcs[0].start == 0 else layer_arcs[-1]
-        coloring[start_arc.id] = state.colors[li - 1]
-    for _pos, layer, k in cl.sweep_order():
-        state = state.cross(layer)
-        entered = arcs[layer - 1][k]
-        color = state.colors[layer - 1]
-        if coloring.get(entered.id, color) != color:
+    for ended, entered, _stab in _crossings(cl):
+        # an arc keeps its layer's color until the sweep leaves it, so the
+        # first arc a layer leaves (the one underfoot at 0+) gets its start color
+        coloring.setdefault(ended.id, state.colors[ended.layer - 1])
+        state = state.cross(entered.layer)
+        color = state.colors[entered.layer - 1]
+        if coloring.setdefault(entered.id, color) != color:
             return None
-        coloring[entered.id] = color
     return coloring
 
 
-# ---------------------------------------------------------------------------
-# exact arc intersections
-#
-# Arcs are lifted to closed intervals [start, end] on the line with
-# end - start < C, so a subset of the circle within one arc's window maps
-# back injectively.  Intersecting with another arc means intersecting with
-# its three translates by -C, 0, +C.
-
-
-def _refine_pieces(pieces, arc: Arc, c: Fraction):
-    out = []
-    for lo, hi in pieces:
-        for shift in (-c, Fraction(0), c):
-            nlo = max(lo, arc.start + shift)
-            nhi = min(hi, arc.end + shift)
-            if nlo <= nhi and (nlo, nhi) not in out:
-                out.append((nlo, nhi))
-    return sorted(out)
-
-
-def _arcs_intersection(arcs: list[Arc], c: Fraction):
-    """Pieces (in the first arc's lift coordinates) of the closed
-    intersection of the given arcs; empty list when disjoint."""
-    first = arcs[0]
-    pieces = [(first.start, first.end)]
-    for a in arcs[1:]:
-        pieces = _refine_pieces(pieces, a, c)
-        if not pieces:
-            break
-    return pieces
-
-
-def _meeting_pairs(cl: CircleLayers):
-    arcs = cl.all_arcs()
-    for a, b in itertools.combinations(arcs, 2):
-        if _arcs_intersection([a, b], cl.circumference):
-            yield a, b
+def _meeting_pairs(cl: CircleLayers) -> set[tuple[str, str]]:
+    """Id pairs of the arcs whose closures meet: the pairs of each stab."""
+    return {
+        pair
+        for _ended, _entered, stab in _crossings(cl)
+        for pair in itertools.combinations(stab, 2)
+    }
 
 
 def verify_circle_coloring(cl: CircleLayers, coloring) -> bool:
     """Proper means: arcs whose closures meet get distinct colors (adjacent
-    arcs of one layer, overlapping arcs of different layers)."""
-    for a, b in _meeting_pairs(cl):
-        if coloring[a.id] == coloring[b.id]:
-            return False
-    return True
+    arcs of one layer, overlapping arcs of different layers).  Raises
+    ValueError when the coloring misses an arc."""
+    missing = [a.id for a in cl.all_arcs() if a.id not in coloring]
+    if missing:
+        raise ValueError(f"partial coloring; missing regions {missing[:5]}")
+    return all(coloring[a] != coloring[b] for a, b in _meeting_pairs(cl))
 
 
 def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
@@ -304,39 +289,19 @@ def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
 
     Every arc subset with nonempty closed intersection is listed, tagged with
     the set dimension of the intersection: 1 when it has interior, 0 for
-    point contacts.  Any subset with a common point lies inside the stab of
-    one of the boundary points, so enumerating subsets of those stabs is
-    exhaustive.
+    point contacts.  These are the subsets of the stabs.  A subset of p's
+    stab has dimension 0 when it holds both arcs that meet at p, since two
+    arcs of one layer share no interior, and dimension 1 otherwise, since no
+    two layers share a position.  Its pieces are the crossings whose stab
+    holds it and whose entered arc is in it.
     """
-    arcs = cl.all_arcs()
-    by_id = {a.id: a for a in arcs}
-    c = cl.circumference
-
-    candidates: set[frozenset[str]] = {frozenset((a.id,)) for a in arcs}
-    for points in cl.layers:
-        for p in points:
-            stab = [a.id for a in arcs if a.covers(p, c)]
-            for size in range(2, len(stab) + 1):
-                for combo in itertools.combinations(sorted(stab), size):
-                    candidates.add(frozenset(combo))
-
-    tagged: dict[frozenset[str], int] = {}
-    for q in candidates:
-        members = [by_id[i] for i in sorted(q)]
-        if len(members) == 1:
-            tagged[q] = 1
-            continue
-        pieces = _arcs_intersection(members, c)
-        if pieces:
-            tagged[q] = 1 if any(hi > lo for lo, hi in pieces) else 0
-
-    regions = tuple((a.id, a.layer) for a in arcs)
-    intersections = tuple(
-        (tuple(sorted(q)), dim)
-        for q, dim in sorted(
-            tagged.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0])))
-        )
-    )
+    tagged: dict[tuple[str, ...], int] = {}
+    for ended, entered, stab in _crossings(cl):
+        for size in range(1, len(stab) + 1):
+            for q in itertools.combinations(stab, size):
+                tagged[q] = 0 if ended.id in q and entered.id in q else 1
+    regions = tuple((a.id, a.layer) for a in cl.all_arcs())
+    intersections = tuple(sorted(tagged.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return LayeredIntersectionData(
         n=1, j=cl.j, regions=regions, intersections=intersections
     )
@@ -357,7 +322,7 @@ def brute_force_circle_colorable(
     index = {a.id: i for i, a in enumerate(arcs)}
     earlier: list[list[int]] = [[] for _ in arcs]
     for a, b in _meeting_pairs(cl):
-        i, k = sorted((index[a.id], index[b.id]))
+        i, k = sorted((index[a], index[b]))
         earlier[k].append(i)
     assignment = [0] * len(arcs)
 

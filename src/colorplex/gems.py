@@ -148,10 +148,14 @@ def bicolored_cycles(g: Gem, a: int, b: int) -> tuple[int, ...]:
     a disjoint union of cycles, each alternating a and b and hence of even
     length; a parallel pair gives the minimal length 2.
     """
-    step = g._color_map()
+    return _bicolored_cycles(g._color_map(), g.vertices, a, b)
+
+
+def _bicolored_cycles(step, vertices, a: int, b: int) -> tuple[int, ...]:
+    """:func:`bicolored_cycles` on a prebuilt color map and vertex tuple."""
     lengths = []
     visited: set[int] = set()
-    for start in g.vertices:
+    for start in vertices:
         if start in visited:
             continue
         cur = start
@@ -487,9 +491,11 @@ class GemReport:
 
 def gem_report(g: Gem) -> GemReport:
     """All six bicolored decompositions and all four 3-color analyses."""
+    step, vertices = g._color_map(), g.vertices
     cycle_lengths = []
     for a, b in itertools.combinations(range(1, 5), 2):
-        cycle_lengths.append(((a, b), bicolored_cycles(g, a, b)))
+        cycle_lengths.append(((a, b), _bicolored_cycles(step, vertices, a, b)))
+    del step  # free the map before the planarity passes, where memory peaks
     triple_components = []
     for triple in itertools.combinations(range(1, 5), 3):
         comps = _subgraph_components(g, triple)
@@ -498,7 +504,7 @@ def gem_report(g: Gem) -> GemReport:
         )
         triple_components.append((triple, len(comps), flags))
     return GemReport(
-        vertex_count=len(g.vertices),
+        vertex_count=len(vertices),
         edge_count=len(g.edges),
         cycle_lengths=tuple(cycle_lengths),
         triple_components=tuple(triple_components),

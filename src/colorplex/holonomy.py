@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetError
-from .perms import Permutation, subgroup_closure
+from .perms import CLOSURE_DEGREE_LIMIT, Permutation, subgroup_closure
 from .triangulation import Triangulation, _facet_index, face_census
 
 BRUTE_FORCE_VERTEX_LIMIT = 40
@@ -334,8 +334,10 @@ def holonomy_invariants(t: Triangulation) -> dict:
     the holonomy is trivial.  Color degrees above the closure limit raise
     BudgetError."""
     degree = t.dimension + 1
-    if degree > 8:
-        raise BudgetError(f"holonomy degree {degree} exceeds the closure limit 8")
+    if degree > CLOSURE_DEGREE_LIMIT:
+        raise BudgetError(
+            f"holonomy degree {degree} exceeds the closure limit {CLOSURE_DEGREE_LIMIT}"
+        )
     hol = _cached_hol(t)
     # at most degree! distinct permutations among the generators
     described = {

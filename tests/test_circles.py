@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,11 +11,13 @@ from colorplex import (
     brute_force_circle_colorable,
     circle_colorable,
     circle_holonomy,
+    circle_intersections,
     circle_layers_to_text,
     parse_circle_layers,
     sweep,
     verify_circle_coloring,
 )
+from colorplex.circles import _meeting_pairs
 from colorplex.errors import FormatError
 from colorplex.oracles import random_circle_layers
 
@@ -143,3 +146,53 @@ def test_colorable_iff_identity_holonomy():
     for _ in range(30):
         cl = random_circle_layers(rng)
         assert (circle_colorable(cl) is not None) == circle_holonomy(cl).is_identity
+
+
+def test_verify_rejects_a_partial_coloring():
+    witness = circle_colorable(NESTED)
+    del witness["l2a1"]
+    with pytest.raises(ValueError, match=r"partial coloring; missing regions \['l2a1'\]"):
+        verify_circle_coloring(NESTED, witness)
+
+
+def _sampled_intersections(cl):
+    """Reference record from sampled positions, without the sweep: every
+    boundary point and the midpoint of every gap between consecutive points,
+    the wrap-around gap included.  A subset meets when some sample lies in
+    all its arcs, and meets in an arc when some midpoint does."""
+    c = cl.circumference
+    arcs = []
+    for li, points in enumerate(cl.layers, start=1):
+        for k, start in enumerate(points):
+            end = points[(k + 1) % len(points)]
+            arcs.append((f"l{li}a{k}", start, (end - start) % c))
+    points = sorted(p for layer in cl.layers for p in layer)
+    gaps = zip(points, points[1:] + [points[0] + c])
+    samples = [(p, 0) for p in points] + [(((p + q) / 2) % c, 1) for p, q in gaps]
+    record = {}
+    pairs = set()
+    for x, dim in samples:
+        cover = sorted(aid for aid, start, length in arcs if (x - start) % c <= length)
+        pairs.update(frozenset(pair) for pair in itertools.combinations(cover, 2))
+        for size in range(1, len(cover) + 1):
+            for q in itertools.combinations(cover, size):
+                record[q] = max(record.get(q, 0), dim)
+    return record, pairs
+
+
+def test_intersections_and_meeting_pairs_match_sampled_coverage():
+    rng = random.Random(11)
+    instances = [random_circle_layers(rng, max_layers=4) for _ in range(240)]
+    instances += [
+        _single(2),
+        _single(5),
+        INTERLEAVED,
+        NESTED,
+        CircleLayers(F(7), ((F(0), F(3)), (F(1), F(2)), (F(1, 2), F(5)))),
+        CircleLayers(F(6), ((F(5), F(11, 2)), (F(0), F(1), F(4)))),
+    ]
+    assert any(0 in layer for cl in instances for layer in cl.layers)
+    for cl in instances:
+        record, pairs = _sampled_intersections(cl)
+        assert dict(circle_intersections(cl).intersections) == record, cl
+        assert set(map(frozenset, _meeting_pairs(cl))) == pairs, cl

@@ -257,7 +257,7 @@ def test_holonomy_invariants_summary():
 
 
 def test_holonomy_invariants_degree_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="^holonomy degree 9 exceeds the closure limit 8$"):
         holonomy_invariants(simplex_boundary(8))
 
 
