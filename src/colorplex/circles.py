@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .gamma import LayeredIntersectionData
+from .holonomy import _least_proper_coloring
 from .perms import Permutation
 
 
@@ -315,28 +316,11 @@ def brute_force_circle_colorable(
     Arcs are assigned in (layer, index) order with colors tried ascending and
     improper prefixes pruned, so the enumeration covers exactly the proper
     assignments in lexicographic order and the witness is the least one.
+    Refuses more than BRUTE_FORCE_VERTEX_LIMIT arcs, as the triangulation
+    search does.
     """
-    if colors is None:
-        colors = cl.j + 1
-    arcs = sorted(cl.all_arcs(), key=lambda a: (a.layer, a.index))
-    index = {a.id: i for i, a in enumerate(arcs)}
-    earlier: list[list[int]] = [[] for _ in arcs]
-    for a, b in _meeting_pairs(cl):
-        i, k = sorted((index[a], index[b]))
-        earlier[k].append(i)
-    assignment = [0] * len(arcs)
-
-    def extend(i: int) -> bool:
-        if i == len(arcs):
-            return True
-        for c in range(1, colors + 1):
-            if all(assignment[p] != c for p in earlier[i]):
-                assignment[i] = c
-                if extend(i + 1):
-                    return True
-        assignment[i] = 0
-        return False
-
-    if not extend(0):
-        return None
-    return {a.id: c for a, c in zip(arcs, assignment)}
+    order = [a.id for a in sorted(cl.all_arcs(), key=lambda a: (a.layer, a.index))]
+    found = _least_proper_coloring(
+        order, _meeting_pairs(cl), cl.j + 1 if colors is None else colors
+    )
+    return None if found is None else dict(zip(order, found))

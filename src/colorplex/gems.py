@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .triangulation import Triangulation, dual_graph
+from .triangulation import Triangulation, _facet_index
 
 COLOR_NAMES = {1: "red", 2: "green", 3: "blue", 4: "black"}
 
@@ -529,13 +529,13 @@ def gem_from_coloring(t: Triangulation, coloring) -> Gem:
     if not verify_coloring(t, coloring, 4):
         raise ValueError("not a proper 4-coloring; every simplex must be rainbow")
     edges = []
-    for a, b, facet in dual_graph(t).edges:
-        (opposite_a,) = set(t.simplices[a]) - set(facet)
-        (opposite_b,) = set(t.simplices[b]) - set(facet)
-        color = coloring[opposite_a]
-        if color != coloring[opposite_b]:
-            raise AssertionError("rainbow simplices must agree across a facet")
-        edges.append((a, b, color))
+    for a, nbs in enumerate(_facet_index(t).adjacency):
+        for b, i, j in nbs:
+            if a < b:
+                color = coloring[t.simplices[a][i]]
+                if color != coloring[t.simplices[b][j]]:
+                    raise AssertionError("rainbow simplices must agree across a facet")
+                edges.append((a, b, color))
     return Gem.from_edges(edges)
 
 

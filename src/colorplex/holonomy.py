@@ -11,7 +11,7 @@ labeling around dual loops gives color permutations; the complex is
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,7 +194,9 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     raised to the degree: the identity exactly when the degree is even.
     That law needs the cofaces to form one cycle; when the walk closes
     before it has visited every coface (the face's link is not connected,
-    as at a pinched vertex) ValueError is raised.
+    as at a pinched vertex), or reaches a facet that two simplices do not
+    share, ValueError is raised.  The walk goes by position: it crosses the
+    facet opposite one outside vertex and follows the other one.
     """
     face = tuple(sorted(face))
     if len(face) != t.dimension - 1:
@@ -210,26 +212,31 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     if not cofaces:
         raise ValueError(f"{face} is not a face of any simplex")
 
-    start = cofaces[0]
-    path = [start]
-    prev = -1
-    cur = start
+    start = cur = cofaces[0]
+    keep, drop = (k for k, v in enumerate(t.simplices[start]) if v not in inside)
+    colors = base_labeling(t, start).colors
+    steps = 0
     while True:
-        steps = []
-        for extra in sorted(set(t.simplices[cur]) - inside):
-            facet = tuple(sorted(face + (extra,)))
-            steps.extend(sid for sid, _pos in index.facets[facet] if sid != cur)
-        nxt = steps[0] if steps[0] != prev else steps[1]
-        path.append(nxt)
-        prev, cur = cur, nxt
+        crossing = [(b, j) for b, i, j in index.adjacency[cur] if i == drop]
+        if not crossing:
+            s = t.simplices[cur]
+            raise ValueError(
+                f"a loop around {face} reaches the facet {s[:drop] + s[drop + 1 :]}, "
+                "which two simplices do not share"
+            )
+        ((nxt, j),) = crossing
+        colors = _transport(colors, drop, j)
+        # j is the far side's new outside vertex; the kept one moves along
+        cur, keep, drop = nxt, j, t.simplices[nxt].index(t.simplices[cur][keep])
+        steps += 1
         if cur == start:
             break
-    if len(path) - 1 != len(cofaces):
+    if steps != len(cofaces):
         raise ValueError(
             f"the link of {face} is not connected: a loop around it meets "
-            f"{len(path) - 1} of its {len(cofaces)} cofaces"
+            f"{steps} of its {len(cofaces)} cofaces"
         )
-    return path_permutation(t, path), len(cofaces)
+    return Permutation(colors), len(cofaces)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +290,32 @@ def verify_coloring(t: Triangulation, coloring, color_count: int) -> bool:
     return True
 
 
+def _least_proper_coloring(order, pairs, colors: int) -> list[int] | None:
+    """Backtracking over the proper colorings of the graph on ``order`` whose
+    edges are ``pairs``: items are colored in order, colors 1..colors tried
+    ascending, so the first complete assignment is the least in that order.
+    Returns its colors aligned with ``order``, or None.  Refuses more than
+    BRUTE_FORCE_VERTEX_LIMIT items."""
+    if len(order) > BRUTE_FORCE_VERTEX_LIMIT:
+        raise BudgetError(
+            f"{len(order)} regions exceed the search budget of "
+            f"{BRUTE_FORCE_VERTEX_LIMIT}"
+        )
+    position = {v: k for k, v in enumerate(order)}
+    earlier: list[list[int]] = [[] for _ in order]
+    for u, v in pairs:
+        a, b = sorted((position[u], position[v]))
+        earlier[b].append(a)
+    assignment = [0] * len(order)
+    k = 0
+    while 0 <= k < len(order):
+        used = {assignment[p] for p in earlier[k]}
+        c = next((c for c in range(assignment[k] + 1, colors + 1) if c not in used), 0)
+        assignment[k] = c
+        k += 1 if c else -1
+    return assignment if k == len(order) else None
+
+
 def brute_force_colorable(
     t: Triangulation, color_count: int
 ) -> dict[int, int] | None:
@@ -293,34 +326,11 @@ def brute_force_colorable(
     search order.  Refuses complexes with more than BRUTE_FORCE_VERTEX_LIMIT
     vertices.
     """
-    verts = t.vertices
-    if len(verts) > BRUTE_FORCE_VERTEX_LIMIT:
-        raise BudgetError(
-            f"{len(verts)} regions exceed the search budget of "
-            f"{BRUTE_FORCE_VERTEX_LIMIT}"
-        )
-    neighbors: dict[int, set[int]] = {v: set() for v in verts}
-    for s in t.simplices:
-        for a, b in itertools.combinations(s, 2):
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-    order = sorted(verts, key=lambda v: (-len(neighbors[v]), v))
-    assignment: dict[int, int] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        used = {assignment[u] for u in neighbors[v] if u in assignment}
-        for c in range(1, color_count + 1):
-            if c not in used:
-                assignment[v] = c
-                if extend(i + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    return dict(sorted(assignment.items())) if extend(0) else None
+    edges = {e for s in t.simplices for e in itertools.combinations(s, 2)}
+    degree = Counter(itertools.chain.from_iterable(edges))
+    order = sorted(t.vertices, key=lambda v: (-degree[v], v))
+    found = _least_proper_coloring(order, edges, color_count)
+    return None if found is None else dict(sorted(zip(order, found)))
 
 
 @lru_cache(maxsize=1)

@@ -7,16 +7,18 @@ dual edges at the shared facets, dual 2-cells at the codimension-2 faces) is
 read off two indexes, each built once per triangulation.  The face lattice
 ``_faces`` lists the faces of each dimension 0..n in sorted order, a face's
 position being its face id; the census, the Euler characteristic, homology
-and barycentric subdivision read it.  The facet index ``_facet_index`` holds
-every facet with the (simplex id, position of the dropped vertex) pairs of
-its cofaces, and every vertex with its star; validation, the dual graph,
-orientability and the holonomy read it.
+and barycentric subdivision read it.  The facet index ``_facet_index`` is the
+dual graph: its edges with their facets, each simplex's dual edges by
+dropped-vertex position, the facets not shared by exactly two simplices, and
+every vertex's star.  Validation, the dual graph, orientability, the holonomy
+and the gem encoding read it; the facet table it is built from is dropped.
 
-Results derived from a triangulation (the two indexes, ``face_census``,
-``dual_graph``, and in other modules ``homology`` and the holonomy data) are
-cached for the most recent input only, so a process that sees a stream of
-triangulations holds at most one of each.  Everything here is immutable and
-every function is pure, so concurrent use on shared inputs is safe.
+Results derived from a triangulation (the two indexes, ``face_census``, and
+in other modules ``homology`` and the holonomy data) are cached for the most
+recent input only, so a process that sees a stream of triangulations holds
+at most one of each.  ``dual_graph`` is not cached: it wraps the index's
+edges.  Everything here is immutable and every function is pure, so
+concurrent use on shared inputs is safe.
 """
 
 from __future__ import annotations
@@ -162,18 +164,21 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class _FacetIndex:
-    """The faces of a triangulation that its dual structure reads.
+    """The dual graph and vertex stars of a triangulation, from one pass over
+    its facets.
 
-    ``facets`` maps each (n-1)-face to its (simplex id, position of the
-    dropped vertex) pairs in simplex-id order.  ``adjacency[a]`` lists the
-    dual edges at simplex a as (b, i, j), ascending in b: a and b share the
-    facet that a gets by dropping its vertex at position i and b by dropping
-    its vertex at position j.  ``stars`` maps each vertex to the ascending
-    ids of the simplices containing it.
+    ``edges`` lists the dual edges as (a, b, shared facet), a < b, in
+    ascending order.  ``adjacency[a]`` lists the dual edges at simplex a as
+    (b, i, j), ascending in b: a and b share the facet that a gets by
+    dropping its vertex at position i and b by dropping its vertex at
+    position j.  ``bad_faces`` lists the facets of degree other than 2 with
+    their degrees, in facet order.  ``stars`` maps each vertex to the
+    ascending ids of the simplices containing it.
     """
 
-    facets: dict[tuple[int, ...], list[tuple[int, int]]]
+    edges: tuple[tuple[int, int, tuple[int, ...]], ...]
     adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
+    bad_faces: tuple[tuple[tuple[int, ...], int], ...]
     stars: dict[int, list[int]]
 
 
@@ -193,8 +198,13 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
             (a, i), (b, j) = pairs
             adjacency[a].append((b, i, j))
             adjacency[b].append((a, j, i))
+    # Two simplices share at most one facet, so (a, b) orders the edges.  They
+    # are built after the adjacency so that its tuples stay close in memory
+    # for the dual-graph walks that read them.
+    edges = sorted((p[0][0], p[1][0], f) for f, p in facets.items() if len(p) == 2)
+    bad = sorted((f, len(p)) for f, p in facets.items() if len(p) != 2)
     return _FacetIndex(
-        facets, tuple(tuple(sorted(nbs)) for nbs in adjacency), stars
+        tuple(edges), tuple(tuple(sorted(nbs)) for nbs in adjacency), tuple(bad), stars
     )
 
 
@@ -207,9 +217,6 @@ def validate(t: Triangulation) -> ValidationReport:
     not warnings.
     """
     index = _facet_index(t)
-    bad = tuple(
-        sorted((f, len(pairs)) for f, pairs in index.facets.items() if len(pairs) != 2)
-    )
 
     # component count of the facet-adjacency graph
     adjacency = index.adjacency
@@ -228,9 +235,9 @@ def validate(t: Triangulation) -> ValidationReport:
                     stack.append(nb)
     return ValidationReport(
         pure=True,
-        closed=not bad,
+        closed=not index.bad_faces,
         connected=components == 1,
-        bad_faces=bad,
+        bad_faces=index.bad_faces,
         components=components,
     )
 
@@ -326,15 +333,8 @@ class DualGraph:
         return tuple(degs)
 
 
-@lru_cache(maxsize=1)
 def dual_graph(t: Triangulation) -> DualGraph:
-    # two simplices share at most one facet, so (a, b) orders the edges
-    edges = sorted(
-        (pairs[0][0], pairs[1][0], facet)
-        for facet, pairs in _facet_index(t).facets.items()
-        if len(pairs) == 2
-    )
-    return DualGraph(node_count=len(t.simplices), edges=tuple(edges))
+    return DualGraph(node_count=len(t.simplices), edges=_facet_index(t).edges)
 
 
 def is_even_cyclic(t: Triangulation) -> bool:

@@ -18,7 +18,7 @@ from colorplex import (
     verify_circle_coloring,
 )
 from colorplex.circles import _meeting_pairs
-from colorplex.errors import FormatError
+from colorplex.errors import BudgetError, FormatError
 from colorplex.oracles import random_circle_layers
 
 
@@ -123,6 +123,12 @@ def test_double_sweep_squares_the_permutation():
             state = state.cross(layer)
         double = Permutation(tuple(list(state.colors) + [state.free]))
         assert double == rho.compose(rho)
+
+
+def test_brute_force_budget():
+    assert brute_force_circle_colorable(_single(40)) is not None
+    with pytest.raises(BudgetError):
+        brute_force_circle_colorable(_single(41))
 
 
 def test_sweep_matches_brute_force_on_seeded_instances():

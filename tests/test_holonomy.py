@@ -183,6 +183,36 @@ def test_link_loops_are_transposition_powers():
             assert perm.is_identity == (degree % 2 == 0)
 
 
+def _coface_cycle(t, face):
+    """The cofaces of ``face`` as a closed walk, each step to a coface sharing
+    n vertices with the last one, built from vertex sets alone."""
+    cofaces = [sid for sid, s in enumerate(t.simplices) if set(face) <= set(s)]
+    ring = [cofaces[0]]
+    remaining = set(cofaces[1:])
+    while remaining:
+        last = set(t.simplices[ring[-1]])
+        nxt = min(sid for sid in remaining if len(last & set(t.simplices[sid])) == t.dimension)
+        ring.append(nxt)
+        remaining.discard(nxt)
+    assert len(set(t.simplices[ring[-1]]) & set(t.simplices[ring[0]])) == t.dimension
+    return ring + ring[:1]
+
+
+def test_link_loops_match_path_permutation_over_a_coface_cycle():
+    for t in _examples_and_subdivisions():
+        if t.dimension < 2:
+            continue
+        for face, degree in face_census(t).codim2_degrees:
+            cycle = _coface_cycle(t, face)
+            assert link_loop_permutation(t, face) == (path_permutation(t, cycle), degree)
+
+
+def test_link_loop_rejects_an_unshared_facet():
+    open_disk = Triangulation.from_simplices(2, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    with pytest.raises(ValueError, match="which two simplices do not share"):
+        link_loop_permutation(open_disk, (2,))
+
+
 # ---------------------------------------------------------------------------
 # colorability
 
@@ -458,7 +488,6 @@ def test_triangulation_caches_keep_one_entry():
         tri._faces,
         tri._facet_index,
         tri.face_census,
-        tri.dual_graph,
         hom.homology,
         hol._cached_hol,
     )

@@ -32,6 +32,19 @@ dim 2
 """
 
 
+def _examples_and_subdivisions():
+    bases = [
+        simplex_boundary(2),
+        simplex_boundary(3),
+        cross_polytope_boundary(2),
+        cross_polytope_boundary(3),
+        circle(5),
+        torus7(),
+        rp2_6(),
+    ]
+    return bases + [barycentric_subdivide(b)[0] for b in bases]
+
+
 def test_parse_tetrahedron_boundary():
     t = parse_triangulation(TETRA_TEXT)
     assert t.dimension == 2
@@ -93,6 +106,21 @@ def test_validate_open_disk_fails():
     assert not report.closed
     degree_one = [f for f, d in report.bad_faces if d == 1]
     assert len(degree_one) == 3
+
+
+def test_validate_lists_a_branching_facet():
+    t = Triangulation.from_simplices(2, [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+    report = validate(t)
+    assert not report.closed
+    assert report.bad_faces == (
+        ((1, 2), 3),
+        ((1, 3), 1),
+        ((1, 4), 1),
+        ((1, 5), 1),
+        ((2, 3), 1),
+        ((2, 4), 1),
+        ((2, 5), 1),
+    )
 
 
 def test_validate_disjoint_union_fails():
@@ -169,6 +197,18 @@ def test_dual_graph_regularity_and_distinct_labels():
         assert len(labels) == len(set(labels))
 
 
+def test_dual_graph_edges_match_a_facet_enumeration():
+    for t in _examples_and_subdivisions():
+        cofaces = {}
+        for sid, s in enumerate(t.simplices):
+            for facet in itertools.combinations(s, t.dimension):
+                cofaces.setdefault(facet, []).append(sid)
+        expected = sorted(
+            (sids[0], sids[1], facet) for facet, sids in cofaces.items() if len(sids) == 2
+        )
+        assert list(dual_graph(t).edges) == expected
+
+
 def test_orientability_textbook_values():
     assert orientability(torus7())
     assert not orientability(rp2_6())
@@ -229,16 +269,7 @@ def test_euler_characteristic_values():
 
 
 def test_face_lattice_matches_a_set_enumeration():
-    bases = [
-        simplex_boundary(2),
-        simplex_boundary(3),
-        cross_polytope_boundary(2),
-        cross_polytope_boundary(3),
-        circle(5),
-        torus7(),
-        rp2_6(),
-    ]
-    for t in bases + [barycentric_subdivide(b)[0] for b in bases]:
+    for t in _examples_and_subdivisions():
         expected = tuple(
             tuple(sorted({f for s in t.simplices for f in itertools.combinations(s, k + 1)}))
             for k in range(t.dimension + 1)
