@@ -144,7 +144,10 @@ def hol_generators(
     Colors travel by position along the dual edges of the facet index (see
     ``_transport``), with the same result as ``propagate``.
     """
-    adjacency = _facet_index(t).adjacency
+    index = _facet_index(t)
+    if index.components != 1:
+        raise ValueError("dual graph is disconnected; validate the input first")
+    adjacency = index.adjacency
     count = len(t.simplices)
     parent = [-1] * count
     colors: list[tuple[int, ...] | None] = [None] * count
@@ -157,8 +160,6 @@ def hol_generators(
                 parent[nb] = cur
                 colors[nb] = _transport(colors[cur], i, j)
                 queue.append(nb)
-    if any(c is None for c in colors):
-        raise ValueError("dual graph is disconnected; validate the input first")
 
     generators = []
     permutations = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .triangulation import Triangulation, _faces, euler_characteristic
+from .triangulation import Triangulation, _faces
 
 
 def _dense_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -206,7 +206,12 @@ def _boundary_rows(
 
 @lru_cache(maxsize=1)
 def homology(t: Triangulation) -> HomologyProfile:
-    """Homology groups H_0..H_n from boundary matrices in Smith normal form."""
+    """Homology groups H_0..H_n from boundary matrices in Smith normal form.
+
+    Invariant: b_k = len(faces_k) - rank_k - rank_{k+1}, and the ranks cancel
+    in the alternating sum, so that sum is the Euler characteristic whatever
+    ranks the eliminations return; comparing the two would test nothing.
+    """
     n = t.dimension
     faces_by_dim = _faces(t)
 
@@ -224,7 +229,4 @@ def homology(t: Triangulation) -> HomologyProfile:
         rank_k1 = len(factors[k + 1])
         betti.append(len(faces_by_dim[k]) - rank_k - rank_k1)
         torsion.append(tuple(d for d in factors[k + 1] if d > 1))
-    profile = HomologyProfile(betti=tuple(betti), torsion=tuple(torsion))
-    if profile.betti_alternating_sum() != euler_characteristic(t):
-        raise AssertionError("Betti alternating sum disagrees with Euler characteristic")
-    return profile
+    return HomologyProfile(betti=tuple(betti), torsion=tuple(torsion))

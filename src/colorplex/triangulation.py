@@ -10,8 +10,10 @@ position being its face id; the census, the Euler characteristic, homology
 and barycentric subdivision read it.  The facet index ``_facet_index`` is the
 dual graph: its edges with their facets, each simplex's dual edges by
 dropped-vertex position, the facets not shared by exactly two simplices, and
-every vertex's star.  Validation, the dual graph, orientability, the holonomy
-and the gem encoding read it; the facet table it is built from is dropped.
+every vertex's star, and from one walk of it the component count and the
+verdicts on bipartiteness and orientability.  Validation, the dual graph,
+both verdicts, the holonomy and the gem encoding read it; the facet table it
+is built from is dropped.
 
 Results derived from a triangulation (the two indexes, ``face_census``, and
 in other modules ``homology`` and the holonomy data) are cached for the most
@@ -45,20 +47,15 @@ class Triangulation:
 
     @classmethod
     def from_simplices(cls, dimension, simplices) -> "Triangulation":
-        """Normalise and arity-check a collection of vertex sets."""
+        """Normalise a collection of vertex sets under the parser's rules."""
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         normalised = []
         for simplex in simplices:
             verts = tuple(sorted(simplex))
-            if len(set(verts)) != len(verts):
-                raise ValueError(f"repeated vertex in simplex {verts}")
-            if len(verts) != dimension + 1:
-                raise ValueError(
-                    f"simplex {verts} has {len(verts)} vertices, expected {dimension + 1}"
-                )
-            if any(v < 0 for v in verts):
-                raise ValueError(f"negative vertex id in simplex {verts}")
+            fault = _simplex_fault(verts, dimension)
+            if fault is not None:
+                raise ValueError(f"{fault}: {verts}")
             normalised.append(verts)
         ordered = tuple(sorted(normalised))
         for a, b in zip(ordered, ordered[1:]):
@@ -72,6 +69,19 @@ class Triangulation:
 
     def __len__(self) -> int:
         return len(self.simplices)
+
+
+def _simplex_fault(verts: tuple[int, ...], dimension: int) -> str | None:
+    """Why the sorted vertex tuple ``verts`` is not a simplex of an
+    n-dimensional triangulation, or None: not n+1 vertices, a repeated
+    vertex, or a negative vertex id."""
+    if len(verts) != dimension + 1:
+        return f"simplex has {len(verts)} vertices, expected {dimension + 1}"
+    if len(set(verts)) != len(verts):
+        return "repeated vertex within a simplex"
+    if any(v < 0 for v in verts):
+        return "negative vertex id"
+    return None
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -104,14 +114,9 @@ def parse_triangulation(text: str) -> Triangulation:
             verts = tuple(sorted(int(tok) for tok in line.split()))
         except ValueError:
             raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
-        if len(verts) != dimension + 1:
-            raise FormatError(
-                f"simplex has {len(verts)} vertices, expected {dimension + 1}", lineno
-            )
-        if len(set(verts)) != len(verts):
-            raise FormatError("repeated vertex within a simplex", lineno)
-        if any(v < 0 for v in verts):
-            raise FormatError("negative vertex id", lineno)
+        fault = _simplex_fault(verts, dimension)
+        if fault is not None:
+            raise FormatError(fault, lineno)
         if verts in seen:
             raise FormatError(f"duplicate simplex {verts}", lineno)
         seen.add(verts)
@@ -165,7 +170,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class _FacetIndex:
     """The dual graph and vertex stars of a triangulation, from one pass over
-    its facets.
+    its facets, and what one walk of the dual graph decides.
 
     ``edges`` lists the dual edges as (a, b, shared facet), a < b, in
     ascending order.  ``adjacency[a]`` lists the dual edges at simplex a as
@@ -173,13 +178,19 @@ class _FacetIndex:
     dropping its vertex at position i and b by dropping its vertex at
     position j.  ``bad_faces`` lists the facets of degree other than 2 with
     their degrees, in facet order.  ``stars`` maps each vertex to the
-    ascending ids of the simplices containing it.
+    ascending ids of the simplices containing it.  ``components`` counts the
+    connected components of the dual graph; ``even_cyclic`` and
+    ``orientable`` are the verdicts of ``is_even_cyclic`` and
+    ``orientability``, taken over every component.
     """
 
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]
     adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
     bad_faces: tuple[tuple[tuple[int, ...], int], ...]
     stars: dict[int, list[int]]
+    components: int
+    even_cyclic: bool
+    orientable: bool
 
 
 @lru_cache(maxsize=1)
@@ -192,19 +203,48 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
             facets.setdefault(facet, []).append((sid, i))
         for v in s:
             stars.setdefault(v, []).append(sid)
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in t.simplices]
+    lists: list[list[tuple[int, int, int]]] = [[] for _ in t.simplices]
     for pairs in facets.values():
         if len(pairs) == 2:
             (a, i), (b, j) = pairs
-            adjacency[a].append((b, i, j))
-            adjacency[b].append((a, j, i))
+            lists[a].append((b, i, j))
+            lists[b].append((a, j, i))
     # Two simplices share at most one facet, so (a, b) orders the edges.  They
     # are built after the adjacency so that its tuples stay close in memory
     # for the dual-graph walks that read them.
     edges = sorted((p[0][0], p[1][0], f) for f, p in facets.items() if len(p) == 2)
     bad = sorted((f, len(p)) for f, p in facets.items() if len(p) != 2)
+    del facets  # before the walk, so that the index's peak memory does not rise
+    adjacency = tuple(tuple(sorted(nbs)) for nbs in lists)
+    del lists
+
+    # One depth-first walk over every component.  A simplex's side flips
+    # across every dual edge, and its orientation sign flips across a facet
+    # dropped at positions i and j exactly when i + j is even; a non-tree
+    # edge that disagrees with either label refutes that verdict.
+    side = [0] * len(adjacency)
+    sign = [0] * len(adjacency)  # 0 until the walk reaches the simplex
+    components = 0
+    even_cyclic = orientable = True
+    for start in range(len(adjacency)):
+        if sign[start]:
+            continue
+        components += 1
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nb, i, j in adjacency[cur]:
+                required = sign[cur] if (i + j) % 2 else -sign[cur]
+                if not sign[nb]:
+                    side[nb] = 1 - side[cur]
+                    sign[nb] = required
+                    stack.append(nb)
+                else:
+                    even_cyclic &= side[nb] != side[cur]
+                    orientable &= sign[nb] == required
     return _FacetIndex(
-        tuple(edges), tuple(tuple(sorted(nbs)) for nbs in adjacency), tuple(bad), stars
+        tuple(edges), adjacency, tuple(bad), stars, components, even_cyclic, orientable
     )
 
 
@@ -217,28 +257,12 @@ def validate(t: Triangulation) -> ValidationReport:
     not warnings.
     """
     index = _facet_index(t)
-
-    # component count of the facet-adjacency graph
-    adjacency = index.adjacency
-    components = 0
-    seen = [False] * len(t.simplices)
-    for start in range(len(t.simplices)):
-        if seen[start]:
-            continue
-        components += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            for nb, _i, _j in adjacency[stack.pop()]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
     return ValidationReport(
         pure=True,
         closed=not index.bad_faces,
-        connected=components == 1,
+        connected=index.components == 1,
         bad_faces=index.bad_faces,
-        components=components,
+        components=index.components,
     )
 
 
@@ -339,50 +363,21 @@ def dual_graph(t: Triangulation) -> DualGraph:
 
 def is_even_cyclic(t: Triangulation) -> bool:
     """True iff every closed walk on the dual 1-skeleton has even length,
-    i.e. the dual graph is bipartite."""
-    adjacency = _facet_index(t).adjacency
-    side = [-1] * len(t.simplices)
-    for start in range(len(t.simplices)):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nb, _i, _j in adjacency[cur]:
-                if side[nb] < 0:
-                    side[nb] = 1 - side[cur]
-                    stack.append(nb)
-                elif side[nb] == side[cur]:
-                    return False
-    return True
+    i.e. the dual graph is bipartite: the walk in ``_facet_index`` flips a
+    simplex's side across every dual edge and finds no edge within a side."""
+    return _facet_index(t).even_cyclic
 
 
 def orientability(t: Triangulation) -> bool:
     """Decide whether a coherent orientation of the top simplices exists.
 
-    A sign per simplex is propagated over a dual spanning tree; the complex
-    is orientable iff every non-tree adjacency is consistent.  The induced
-    boundary orientation of the facet obtained by dropping the vertex at
-    sorted position i carries sign (-1)^i, and coherence requires the two
-    induced orientations of a shared facet to cancel: across a facet dropped
-    at positions i and j the sign flips exactly when i + j is even.  A
-    disconnected complex is orientable iff every component is.
+    The walk in ``_facet_index`` propagates a sign per simplex over a dual
+    spanning tree; the complex is orientable iff every non-tree adjacency is
+    consistent.  The induced boundary orientation of the facet obtained by
+    dropping the vertex at sorted position i carries sign (-1)^i, and
+    coherence requires the two induced orientations of a shared facet to
+    cancel: across a facet dropped at positions i and j the sign flips exactly
+    when i + j is even.  A disconnected complex is orientable iff every
+    component is.
     """
-    adjacency = _facet_index(t).adjacency
-    sign = [0] * len(t.simplices)
-    for start in range(len(t.simplices)):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nb, i, j in adjacency[cur]:
-                required = sign[cur] if (i + j) % 2 else -sign[cur]
-                if not sign[nb]:
-                    sign[nb] = required
-                    stack.append(nb)
-                elif sign[nb] != required:
-                    return False
-    return True
+    return _facet_index(t).orientable

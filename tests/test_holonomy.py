@@ -457,6 +457,16 @@ def _examples_and_subdivisions():
     return bases + [barycentric_subdivide(t)[0] for t in bases]
 
 
+def test_hol_generators_rejects_a_disconnected_dual_graph():
+    # the tetrahedron boundary beside a disjoint octahedron boundary
+    shifted = [tuple(v + 10 for v in s) for s in cross_polytope_boundary(2).simplices]
+    union = Triangulation.from_simplices(2, list(simplex_boundary(2).simplices) + shifted)
+    with pytest.raises(ValueError, match="dual graph is disconnected"):
+        hol_generators(union)
+    with pytest.raises(ValueError, match="dual graph is disconnected"):
+        hol_generators(Triangulation.from_simplices(2, []))  # no component at all
+
+
 @pytest.mark.parametrize("reverse_neighbors", [False, True])
 def test_hol_generators_match_propagate(reverse_neighbors):
     for t in _examples_and_subdivisions():

@@ -9,6 +9,7 @@ from colorplex import (
     dual_graph,
     euler_characteristic,
     face_census,
+    hol_generators,
     homology,
     is_even_cyclic,
     orientability,
@@ -20,7 +21,7 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
-from colorplex.triangulation import _faces
+from colorplex.triangulation import _faces, _facet_index
 
 TETRA_TEXT = """\
 # boundary of the 3-simplex
@@ -72,6 +73,25 @@ def test_parse_arity_mismatch():
 def test_parse_duplicate_simplex():
     with pytest.raises(FormatError, match="duplicate"):
         parse_triangulation("dim 1\n1 2\n2 1\n")
+
+
+@pytest.mark.parametrize(
+    "verts, fault",
+    [
+        ((1, 2), "simplex has 2 vertices, expected 3"),
+        ((1, 2, 2), "repeated vertex within a simplex"),
+        ((1, -2, 3), "negative vertex id"),
+    ],
+)
+def test_parser_and_from_simplices_share_the_simplex_rule(verts, fault):
+    text = "dim 2\n0 1 2\n" + " ".join(map(str, verts)) + "\n"
+    with pytest.raises(FormatError) as err:
+        parse_triangulation(text)
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: {fault}"
+    with pytest.raises(ValueError) as err:
+        Triangulation.from_simplices(2, [(0, 1, 2), verts])
+    assert str(err.value) == f"{fault}: {tuple(sorted(verts))}"
 
 
 def test_parse_missing_header():
@@ -247,9 +267,29 @@ def _has_odd_closed_walk(dg):
     return False
 
 
+def _unions_both_orders():
+    pairs = [
+        (torus7(), rp2_6()),
+        (rp2_6(), rp2_6()),
+        (simplex_boundary(2), cross_polytope_boundary(2)),
+    ]
+    return [_disjoint_union(a, b) for a, b in pairs] + [
+        _disjoint_union(b, a) for a, b in pairs
+    ]
+
+
 def test_even_cyclic_matches_odd_walk_oracle():
-    for t in (simplex_boundary(2), cross_polytope_boundary(2), torus7(), circle(4), circle(5)):
+    inputs = [simplex_boundary(2), cross_polytope_boundary(2), torus7(), circle(4), circle(5)]
+    for t in inputs + _unions_both_orders():
         assert is_even_cyclic(t) == (not _has_odd_closed_walk(dual_graph(t)))
+
+
+def test_orientability_matches_top_homology():
+    # H_n of a closed pseudomanifold is Z to the number of its orientable
+    # dual components, so exact SNF decides orientability independently
+    for t in _examples_and_subdivisions() + _unions_both_orders():
+        expected = homology(t).betti[t.dimension] == validate(t).components
+        assert orientability(t) == expected
 
 
 def test_even_cyclic_values():
@@ -287,3 +327,17 @@ def test_census_euler_and_homology_share_one_face_lattice():
     euler_characteristic(t)
     homology(t)
     assert _faces.cache_info().misses == misses + 1
+
+
+def test_dual_graph_readers_share_one_facet_index():
+    # vertex ids no other test uses, so no cache holds this input yet
+    t = Triangulation.from_simplices(
+        3, [tuple(v + 2000 for v in s) for s in cross_polytope_boundary(3).simplices]
+    )
+    misses = _facet_index.cache_info().misses
+    validate(t)
+    is_even_cyclic(t)
+    orientability(t)
+    dual_graph(t)
+    hol_generators(t)
+    assert _facet_index.cache_info().misses == misses + 1
