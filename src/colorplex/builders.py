@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 
-from .triangulation import Triangulation, _faces
+from .errors import BudgetError
+from .triangulation import FACE_BUDGET, Triangulation, _check_face_budget
 
 
 def simplex_boundary(n: int) -> Triangulation:
@@ -14,6 +16,7 @@ def simplex_boundary(n: int) -> Triangulation:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_face_budget(n, n + 2)
     verts = range(n + 2)
     return Triangulation.from_simplices(n, itertools.combinations(verts, n + 1))
 
@@ -26,6 +29,8 @@ def cross_polytope_boundary(n: int) -> Triangulation:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_face_budget(n, 1)  # the dimension alone, before 2^(n+1) is formed
+    _check_face_budget(n, 2 ** (n + 1))
     simplices = []
     for choice in itertools.product((0, 1), repeat=n + 1):
         simplices.append(tuple(2 * i + b for i, b in enumerate(choice)))
@@ -36,6 +41,7 @@ def circle(m: int) -> Triangulation:
     """The circle cut into m arcs (m >= 3): edges {i, i+1 mod m}."""
     if m < 3:
         raise ValueError(f"circle needs at least 3 arcs, got {m}")
+    _check_face_budget(1, m)
     return Triangulation.from_simplices(1, [(i, (i + 1) % m) for i in range(m)])
 
 
@@ -91,10 +97,17 @@ def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, in
     simplices are the maximal chains f_0 < f_1 < ... < f_n of faces under
     inclusion.  The returned colouring maps each new vertex to 1 + dimension
     of its originating face, which is proper on the 1-skeleton because chain
-    members have distinct dimensions.
+    members have distinct dimensions.  More than FACE_BUDGET chains in all
+    raise BudgetError before any is built.
     """
     n = t.dimension
-    faces = [f for fs in _faces(t) for f in fs]
+    faces = [f for fs in t.faces for f in fs]
+    chain_count = len(t.simplices) * math.factorial(n + 1)
+    if chain_count > FACE_BUDGET:
+        raise BudgetError(
+            f"the subdivision would have {chain_count} simplices, over the "
+            f"budget of {FACE_BUDGET}"
+        )
     face_id = {f: i for i, f in enumerate(faces)}
     coloring = {i: len(f) for i, f in enumerate(faces)}
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import FormatError
@@ -111,9 +112,12 @@ class CircleLayers:
     def arc_count(self) -> int:
         return sum(len(points) for points in self.layers)
 
+    @cached_property
     def sweep_order(self) -> tuple[tuple[Fraction, int, int], ...]:
         """Boundary points in the order a forward sweep from 0+ crosses them:
-        (position, layer, point index); position 0 is crossed last, at C."""
+        (position, layer, point index); position 0 is crossed last, at C.
+        Sorted once per object: the holonomy, the coloring and the
+        intersections all walk it."""
         events = []
         for li, points in enumerate(self.layers, start=1):
             for k, p in enumerate(points):
@@ -221,7 +225,7 @@ class LayerState:
 def sweep(cl: CircleLayers, *, reverse: bool = False) -> LayerState:
     """Run one full lap from 0+ and return the end state."""
     state = LayerState.initial(cl.j)
-    events = cl.sweep_order()
+    events = cl.sweep_order
     if reverse:
         events = tuple(reversed(events))
     for _pos, layer, _k in events:
@@ -244,7 +248,7 @@ def _crossings(cl: CircleLayers):
     arcs = cl.arcs()
     # at 0+ a layer stands on its arc starting at 0, else on its wrapping arc
     underfoot = [(layer[0] if layer[0].start == 0 else layer[-1]).id for layer in arcs]
-    for _pos, layer, k in cl.sweep_order():
+    for _pos, layer, k in cl.sweep_order:
         ended, entered = arcs[layer - 1][k - 1], arcs[layer - 1][k]
         underfoot[layer - 1] = entered.id
         yield ended, entered, tuple(sorted([ended.id, *underfoot]))

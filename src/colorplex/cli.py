@@ -26,7 +26,6 @@ from .errors import BudgetError, FormatError
 from .gamma import gamma_complex, intersection_data_from_json
 from .gems import export_dot, gem_report, parse_gem
 from .holonomy import (
-    _cached_hol,
     brute_force_colorable,
     defect_free_four_coloring,
     defect_graphs,
@@ -226,7 +225,7 @@ def _run_triangulation_command(args):
     if cmd == "holonomy":
         inv = holonomy_invariants(t)
         return {
-            "base_simplex": list(t.simplices[_cached_hol(t).base]),
+            "base_simplex": list(t.simplices[t.holonomy.base]),
             "degree": inv["degree"],
             "generator_count": inv["generator_count"],
             "generators": [

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .triangulation import Triangulation, _facet_index
+from .triangulation import Triangulation
 
 COLOR_NAMES = {1: "red", 2: "green", 3: "blue", 4: "black"}
 
@@ -529,7 +529,7 @@ def gem_from_coloring(t: Triangulation, coloring) -> Gem:
     if not verify_coloring(t, coloring, 4):
         raise ValueError("not a proper 4-coloring; every simplex must be rainbow")
     edges = []
-    for a, nbs in enumerate(_facet_index(t).adjacency):
+    for a, nbs in enumerate(t.facet_index.adjacency):
         for b, i, j in nbs:
             if a < b:
                 color = coloring[t.simplices[a][i]]

@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetError
 from .perms import CLOSURE_DEGREE_LIMIT, Permutation, subgroup_closure
-from .triangulation import Triangulation, _facet_index, face_census
+from .triangulation import Triangulation
 
 BRUTE_FORCE_VERTEX_LIMIT = 40
 
@@ -144,7 +143,7 @@ def hol_generators(
     Colors travel by position along the dual edges of the facet index (see
     ``_transport``), with the same result as ``propagate``.
     """
-    index = _facet_index(t)
+    index = t.facet_index
     if index.components != 1:
         raise ValueError("dual graph is disconnected; validate the input first")
     adjacency = index.adjacency
@@ -202,7 +201,7 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     face = tuple(sorted(face))
     if len(face) != t.dimension - 1:
         raise ValueError(f"{face} is not a codimension-2 face")
-    index = _facet_index(t)
+    index = t.facet_index
     inside = set(face)
     candidates = (
         min((index.stars.get(v, ()) for v in face), key=len)
@@ -249,7 +248,7 @@ def is_locally_colorable(t: Triangulation) -> tuple[bool, tuple[tuple[int, ...],
     sided); also returns the offending odd faces.  Vacuously true for n=1."""
     if t.dimension == 1:
         return True, ()
-    odd = face_census(t).odd_faces
+    odd = t.census.odd_faces
     return not odd, odd
 
 
@@ -262,7 +261,7 @@ def is_colorable(t: Triangulation) -> dict[int, int] | None:
     can leave the extraction inconsistent even with trivial generators; that
     is detected and reported rather than returned.
     """
-    hol = _cached_hol(t)
+    hol = t.holonomy
     if not hol.trivial:
         return None
     coloring: dict[int, int] = {}
@@ -334,22 +333,21 @@ def brute_force_colorable(
     return None if found is None else dict(sorted(zip(order, found)))
 
 
-@lru_cache(maxsize=1)
-def _cached_hol(t: Triangulation) -> HolonomyData:
-    return hol_generators(t)
-
-
 def holonomy_invariants(t: Triangulation) -> dict:
-    """Presentation-independent summary of the holonomy image: cycle types
-    of the generators, the order of the subgroup they generate, and whether
-    the holonomy is trivial.  Color degrees above the closure limit raise
-    BudgetError."""
+    """Summary of the holonomy over the default spanning tree.
+
+    ``image_order`` and ``trivial`` describe the image subgroup, which does
+    not depend on the tree.  ``generator_count`` is the number of non-tree
+    dual edges, fixed by the dual graph.  ``cycle_types`` and
+    ``cycle_strings`` describe one generator per non-tree edge, so they
+    depend on the tree: another breadth-first order can change even their
+    multiset.  Color degrees above the closure limit raise BudgetError."""
     degree = t.dimension + 1
     if degree > CLOSURE_DEGREE_LIMIT:
         raise BudgetError(
             f"holonomy degree {degree} exceeds the closure limit {CLOSURE_DEGREE_LIMIT}"
         )
-    hol = _cached_hol(t)
+    hol = t.holonomy
     # at most degree! distinct permutations among the generators
     described = {
         p: (p.cycle_type(), p.cycle_string()) for p in dict.fromkeys(hol.permutations)
@@ -429,7 +427,7 @@ def defect_graphs(t: Triangulation) -> DefectGraphs:
         raise ValueError(f"defect graphs are defined for n=3, got n={t.dimension}")
     odd = []
     even = []
-    for edge, deg in face_census(t).codim2_degrees:
+    for edge, deg in t.census.codim2_degrees:
         (odd if deg % 2 else even).append(edge)
     regions = frozenset(v for e in odd for v in e)
     adjacency = sorted(odd) + sorted(

@@ -10,10 +10,9 @@ The small remainder without unit entries is then diagonalised classically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .triangulation import Triangulation, _faces
+from .triangulation import Triangulation
 
 
 def _dense_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -204,7 +203,6 @@ def _boundary_rows(
     return rows
 
 
-@lru_cache(maxsize=1)
 def homology(t: Triangulation) -> HomologyProfile:
     """Homology groups H_0..H_n from boundary matrices in Smith normal form.
 
@@ -213,7 +211,7 @@ def homology(t: Triangulation) -> HomologyProfile:
     ranks the eliminations return; comparing the two would test nothing.
     """
     n = t.dimension
-    faces_by_dim = _faces(t)
+    faces_by_dim = t.faces
 
     # factors[k] = invariant factors of the boundary map C_k -> C_{k-1}
     factors: list[list[int]] = [[] for _ in range(n + 2)]

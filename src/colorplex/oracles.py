@@ -226,7 +226,7 @@ def _suite_loc123(seed: int) -> list[dict]:
 
     bad = []
     for name, t in suite:
-        hol = hol_generators(t)
+        hol = t.holonomy
         if not hol.trivial:
             continue
         other = hol_generators(t, reverse_neighbors=True)
@@ -309,7 +309,7 @@ def _suite_circle(seed: int) -> list[dict]:
             bad.append(k)
         twice = sweep(cl)
         state = twice
-        for _pos, layer, _k in cl.sweep_order():
+        for _pos, layer, _k in cl.sweep_order:
             state = state.cross(layer)
         double = Permutation(tuple(list(state.colors) + [state.free]))
         if double != rho.compose(rho):

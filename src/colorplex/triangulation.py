@@ -4,33 +4,45 @@ A complex is stored as its simplicial triangulation: an ``n``-dimensional
 ``Triangulation`` lists the top simplices as (n+1)-element vertex sets.  The
 dual cell structure (regions at the vertices, one dual vertex per simplex,
 dual edges at the shared facets, dual 2-cells at the codimension-2 faces) is
-read off two indexes, each built once per triangulation.  The face lattice
-``_faces`` lists the faces of each dimension 0..n in sorted order, a face's
-position being its face id; the census, the Euler characteristic, homology
-and barycentric subdivision read it.  The facet index ``_facet_index`` is the
-dual graph: its edges with their facets, each simplex's dual edges by
-dropped-vertex position, the facets not shared by exactly two simplices, and
-every vertex's star, and from one walk of it the component count and the
-verdicts on bipartiteness and orientability.  Validation, the dual graph,
-both verdicts, the holonomy and the gem encoding read it; the facet table it
-is built from is dropped.
+read off two indexes, each built on first use and then held by the
+triangulation as a cached property.  The face lattice ``Triangulation.faces``
+lists the faces of each dimension 0..n in sorted order, a face's position
+being its face id; the census, the Euler characteristic, homology and
+barycentric subdivision read it.  It can be exponential in n, so it is built
+only within ``FACE_BUDGET`` faces.  The facet index
+``Triangulation.facet_index`` is the dual graph: its edges with their facets,
+each simplex's dual edges by dropped-vertex position, the facets not shared
+by exactly two simplices, and every vertex's star, and from one walk of it
+the component count and the verdicts on bipartiteness and orientability.
+Validation, the dual graph, both verdicts, the holonomy and the gem encoding
+read it; the facet table it is built from is dropped.
 
-Results derived from a triangulation (the two indexes, ``face_census``, and
-in other modules ``homology`` and the holonomy data) are cached for the most
-recent input only, so a process that sees a stream of triangulations holds
-at most one of each.  ``dual_graph`` is not cached: it wraps the index's
-edges.  Everything here is immutable and every function is pure, so
-concurrent use on shared inputs is safe.
+The face census and the default-tree holonomy data are held the same way, so
+everything derived from a triangulation is built at most once per object and
+lives exactly as long as it.  ``dual_graph`` holds nothing: it wraps the
+index's edges; nor does ``homology``, which no caller computes twice for one
+triangulation.  Everything here is immutable and every function is pure, so
+concurrent use on shared inputs is safe; two threads that read a property
+first at the same time may both build it, with equal results.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain, combinations, repeat
+from typing import TYPE_CHECKING
 
-from .errors import FormatError
+from .errors import BudgetError, FormatError
+
+if TYPE_CHECKING:
+    from .holonomy import HolonomyData
+
+# The most faces the face lattice may hold.  A closed n-dimensional complex
+# of N simplices has at most N * (2^(n+1) - 1) faces, so the lattice is
+# exponential in n; the bound is checked before anything is built.
+FACE_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,10 @@ class Triangulation:
     ``simplices`` holds sorted vertex tuples in lexicographic order; the
     integer position of a simplex in this tuple is its *simplex id*.  Vertex
     ids are arbitrary non-negative integers and are preserved verbatim.
+
+    The data derived from a triangulation are cached properties, built on
+    first read and then held by the object: ``facet_index``, ``faces``,
+    ``census`` and ``holonomy``.  Equality and hashing ignore them.
     """
 
     dimension: int
@@ -70,6 +86,31 @@ class Triangulation:
     def __len__(self) -> int:
         return len(self.simplices)
 
+    @cached_property
+    def facet_index(self) -> _FacetIndex:
+        """The dual graph and vertex stars (see ``_FacetIndex``)."""
+        return _facet_index(self)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The face lattice: the faces of dimension 0..n, one sorted tuple per
+        dimension; a face's position in its tuple is its face id.  Raises
+        BudgetError, before building, when it may exceed FACE_BUDGET faces."""
+        _check_face_budget(self.dimension, len(self.simplices))
+        return _faces(self)
+
+    @cached_property
+    def census(self) -> FaceCensus:
+        """Face counts by dimension, and the degree of every codim-2 face."""
+        return _census(self)
+
+    @cached_property
+    def holonomy(self) -> HolonomyData:
+        """``hol_generators`` over the default spanning tree."""
+        from .holonomy import hol_generators  # at call time: holonomy imports this module
+
+        return hol_generators(self)
+
 
 def _simplex_fault(verts: tuple[int, ...], dimension: int) -> str | None:
     """Why the sorted vertex tuple ``verts`` is not a simplex of an
@@ -82,6 +123,23 @@ def _simplex_fault(verts: tuple[int, ...], dimension: int) -> str | None:
     if any(v < 0 for v in verts):
         return "negative vertex id"
     return None
+
+
+def _check_face_budget(dimension: int, simplex_count: int) -> None:
+    """Raise BudgetError when ``simplex_count`` n-simplices may have more
+    than FACE_BUDGET faces.  One simplex has 2^(n+1) - 1, so a dimension past
+    the budget's bit length is refused before any power is formed."""
+    if dimension >= FACE_BUDGET.bit_length() - 1:
+        raise BudgetError(
+            f"one simplex of dimension {dimension} has 2^{dimension + 1} - 1 faces, "
+            f"over the face budget of {FACE_BUDGET}"
+        )
+    bound = simplex_count * ((1 << dimension + 1) - 1)
+    if bound > FACE_BUDGET:
+        raise BudgetError(
+            f"{simplex_count} simplices of dimension {dimension} may have up to "
+            f"{bound} faces, over the face budget of {FACE_BUDGET}"
+        )
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -193,7 +251,6 @@ class _FacetIndex:
     orientable: bool
 
 
-@lru_cache(maxsize=1)
 def _facet_index(t: Triangulation) -> _FacetIndex:
     dropped = range(t.dimension, -1, -1)  # combinations drop the last vertex first
     facets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -256,7 +313,7 @@ def validate(t: Triangulation) -> ValidationReport:
     simplices.  Faces of degree 1 (boundary) or >2 (branching) are failures,
     not warnings.
     """
-    index = _facet_index(t)
+    index = t.facet_index
     return ValidationReport(
         pure=True,
         closed=not index.bad_faces,
@@ -301,10 +358,7 @@ class FaceCensus:
         }
 
 
-@lru_cache(maxsize=1)
 def _faces(t: Triangulation) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The face lattice: the faces of dimension 0..n, one sorted tuple per
-    dimension; a face's position in its tuple is its face id."""
     below = tuple(
         tuple(sorted(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1))))))
         for k in range(t.dimension)
@@ -312,11 +366,9 @@ def _faces(t: Triangulation) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return below + (t.simplices,)
 
 
-@lru_cache(maxsize=1)
-def face_census(t: Triangulation) -> FaceCensus:
-    """Face counts by dimension, and the degree of every codim-2 face."""
+def _census(t: Triangulation) -> FaceCensus:
     n = t.dimension
-    faces = _faces(t)
+    faces = t.faces
     codim2 = ()
     if n >= 2:
         degree = Counter(chain.from_iterable(map(combinations, t.simplices, repeat(n - 1))))
@@ -324,8 +376,13 @@ def face_census(t: Triangulation) -> FaceCensus:
     return FaceCensus(counts=tuple(map(len, faces)), codim2_degrees=codim2)
 
 
+def face_census(t: Triangulation) -> FaceCensus:
+    """Face counts by dimension, and the degree of every codim-2 face."""
+    return t.census
+
+
 def euler_characteristic(t: Triangulation) -> int:
-    return sum(len(fs) if k % 2 == 0 else -len(fs) for k, fs in enumerate(_faces(t)))
+    return sum(len(fs) if k % 2 == 0 else -len(fs) for k, fs in enumerate(t.faces))
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +415,20 @@ class DualGraph:
 
 
 def dual_graph(t: Triangulation) -> DualGraph:
-    return DualGraph(node_count=len(t.simplices), edges=_facet_index(t).edges)
+    return DualGraph(node_count=len(t.simplices), edges=t.facet_index.edges)
 
 
 def is_even_cyclic(t: Triangulation) -> bool:
     """True iff every closed walk on the dual 1-skeleton has even length,
-    i.e. the dual graph is bipartite: the walk in ``_facet_index`` flips a
+    i.e. the dual graph is bipartite: the walk of the facet index flips a
     simplex's side across every dual edge and finds no edge within a side."""
-    return _facet_index(t).even_cyclic
+    return t.facet_index.even_cyclic
 
 
 def orientability(t: Triangulation) -> bool:
     """Decide whether a coherent orientation of the top simplices exists.
 
-    The walk in ``_facet_index`` propagates a sign per simplex over a dual
+    The walk of the facet index propagates a sign per simplex over a dual
     spanning tree; the complex is orientable iff every non-tree adjacency is
     consistent.  The induced boundary orientation of the facet obtained by
     dropping the vertex at sorted position i carries sign (-1)^i, and
@@ -380,4 +437,4 @@ def orientability(t: Triangulation) -> bool:
     when i + j is even.  A disconnected complex is orientable iff every
     component is.
     """
-    return _facet_index(t).orientable
+    return t.facet_index.orientable

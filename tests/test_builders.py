@@ -1,6 +1,7 @@
 import pytest
 
 from colorplex import (
+    BudgetError,
     barycentric_subdivide,
     euler_characteristic,
     example,
@@ -60,6 +61,19 @@ def test_invalid_dimension_parameters():
         simplex_boundary(0)
     with pytest.raises(ValueError):
         cross_polytope_boundary(0)
+
+
+def test_builders_refuse_a_face_lattice_over_budget():
+    # every size here is small enough to build, should the check be lost
+    assert len(cross_polytope_boundary(11)) == 4096  # at most 4096 * 4095 faces
+    for name, build, n in [
+        ("simplex_boundary", simplex_boundary, 24),  # 26 * (2^25 - 1) faces
+        ("cross_polytope_boundary", cross_polytope_boundary, 12),  # 2^13 * (2^13 - 1)
+    ]:
+        with pytest.raises(BudgetError, match="face budget"):
+            build(n)
+        with pytest.raises(BudgetError, match="face budget"):
+            example(name, [n])
 
 
 def test_example_dispatch():

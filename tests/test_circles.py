@@ -119,7 +119,7 @@ def test_double_sweep_squares_the_permutation():
         cl = random_circle_layers(rng)
         rho = circle_holonomy(cl)
         state = sweep(cl)
-        for _pos, layer, _k in cl.sweep_order():
+        for _pos, layer, _k in cl.sweep_order:
             state = state.cross(layer)
         double = Permutation(tuple(list(state.colors) + [state.free]))
         assert double == rho.compose(rho)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -47,13 +48,14 @@ GAMMA_ARC_PAIR = {
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(colorplex.__file__)))
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
@@ -190,9 +192,52 @@ def test_hol_generators_runs_once_per_invocation(capsys, monkeypatch, args):
         return original(t, **kwargs)
 
     monkeypatch.setattr(holonomy, "hol_generators", counting)
-    holonomy._cached_hol.cache_clear()
     run_in_process(capsys, *args)
     assert len(calls) == 1
+
+
+# the boundary of the 25-simplex: 26 lines after the header, a valid closed
+# 24-sphere whose face lattice would hold 26 * (2^25 - 1) faces
+SPHERE_24 = "dim 24\n" + "".join(
+    " ".join(map(str, s)) + "\n" for s in itertools.combinations(range(26), 25)
+)
+
+
+def run_budgeted(*args):
+    """The CLI under a 1 GiB address-space limit and a timeout, so that a
+    path that lost its budget fails the test and not the machine."""
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from colorplex import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    proc = run_python("-c", script, *args, timeout=120)
+    return proc.returncode, json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command", ["census", "homology", "subdivide", "validate"])
+def test_face_lattice_over_budget_exits_1(tmp_path, command):
+    path = tmp_path / "sphere24.tri"
+    path.write_text(SPHERE_24)
+    code, doc = run_budgeted(command, str(path))
+    assert code == 1
+    assert "face budget" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "example, message",
+    [
+        ("simplex_boundary:99999999999", "face budget"),
+        ("cross_polytope_boundary:99999999999", "face budget"),
+        ("cross_polytope_boundary:12", "face budget"),
+        ("circle:99999999999", "face budget"),
+        # the lattice is small, but the 12 * 11! chains are not
+        ("simplex_boundary:10", "subdivision would have 479001600 simplices"),
+    ],
+)
+def test_example_over_budget_exits_1_before_it_is_built(example, message):
+    code, doc = run_budgeted("subdivide", "--example", example)
+    assert code == 1
+    assert message in doc["diagnostics"][0]
 
 
 def test_unknown_subcommand_exits_2():

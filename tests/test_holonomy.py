@@ -485,29 +485,39 @@ def test_invariants_over_distinct_generators_match_full_closure():
         assert inv["trivial"] == all(p.is_identity for p in perms)
 
 
+def _stellar_moves(t, rng, moves):
+    """``moves`` stellar subdivisions of seeded top simplices: each replaces
+    a simplex by the cone from a new vertex over its boundary, which makes
+    the faces of that simplex odd-degree."""
+    for _ in range(moves):
+        s = t.simplices[rng.randrange(len(t.simplices))]
+        apex = max(t.vertices) + 1
+        cone = [s[:i] + (apex,) + s[i + 1 :] for i in range(len(s))]
+        t = Triangulation.from_simplices(
+            t.dimension, [x for x in t.simplices if x != s] + cone
+        )
+    return t
+
+
+def test_holonomy_image_does_not_depend_on_the_tree():
+    rng = random.Random(3)
+    bases = [torus7(), rp2_6(), cross_polytope_boundary(2), cross_polytope_boundary(3)]
+    inputs = [_stellar_moves(b, rng, rng.randint(2, 5)) for b in bases for _ in range(10)]
+    types_differ = 0
+    for t in inputs:
+        degree = t.dimension + 1
+        default = hol_generators(t).permutations
+        other = hol_generators(t, reverse_neighbors=True).permutations
+        assert subgroup_closure(default, degree=degree) == subgroup_closure(other, degree=degree)
+        types_differ += sorted(p.cycle_type() for p in default) != sorted(
+            p.cycle_type() for p in other
+        )
+    # the generators' cycle types are the tree's, as the docstring says
+    assert types_differ > 0
+
+
 # ---------------------------------------------------------------------------
-# caches keyed on a triangulation hold the most recent input only
-
-
-def test_triangulation_caches_keep_one_entry():
-    # through importlib: the package attribute ``homology`` is the function
-    tri = importlib.import_module("colorplex.triangulation")
-    hom = importlib.import_module("colorplex.homology")
-    hol = importlib.import_module("colorplex.holonomy")
-    caches = (
-        tri._faces,
-        tri._facet_index,
-        tri.face_census,
-        hom.homology,
-        hol._cached_hol,
-    )
-    for t in _examples_and_subdivisions():
-        tri.face_census(t)
-        tri.dual_graph(t)
-        hom.homology(t)
-        hol.holonomy_invariants(t)
-        for cache in caches:
-            assert cache.cache_info().currsize <= 1
+# the holonomy data is held by its triangulation
 
 
 def test_one_holonomy_per_input(monkeypatch):
@@ -520,9 +530,11 @@ def test_one_holonomy_per_input(monkeypatch):
         return original(t, **kwargs)
 
     monkeypatch.setattr(module, "hol_generators", counting)
-    module._cached_hol.cache_clear()
-    inputs = _examples_and_subdivisions()
+    inputs = _examples_and_subdivisions() + [cross_polytope_boundary(3)]
     for t in inputs:
         is_colorable(t)
         holonomy_invariants(t)
-    assert calls == inputs
+        if t.dimension == 3:
+            defect_free_four_coloring(t)
+        is_colorable(t)
+    assert list(map(id, calls)) == list(map(id, inputs))

@@ -1,17 +1,23 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
 from colorplex import (
+    BudgetError,
     FormatError,
     Triangulation,
     barycentric_subdivide,
     dual_graph,
     euler_characteristic,
     face_census,
+    gem_from_coloring,
     hol_generators,
     homology,
+    is_colorable,
     is_even_cyclic,
+    link_loop_permutation,
     orientability,
     parse_triangulation,
     rp2_6,
@@ -21,7 +27,8 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
-from colorplex.triangulation import _faces, _facet_index
+from colorplex.oracles import SUITE_NAMES, run_suite
+from colorplex import triangulation as tri
 
 TETRA_TEXT = """\
 # boundary of the 3-simplex
@@ -314,30 +321,101 @@ def test_face_lattice_matches_a_set_enumeration():
             tuple(sorted({f for s in t.simplices for f in itertools.combinations(s, k + 1)}))
             for k in range(t.dimension + 1)
         )
-        assert _faces(t) == expected
+        assert t.faces == expected
 
 
-def test_census_euler_and_homology_share_one_face_lattice():
-    # vertex ids no other test uses, so no cache holds this input yet
-    t = Triangulation.from_simplices(
-        3, [tuple(v + 1000 for v in s) for s in cross_polytope_boundary(3).simplices]
-    )
-    misses = _faces.cache_info().misses
-    face_census(t)
-    euler_characteristic(t)
-    homology(t)
-    assert _faces.cache_info().misses == misses + 1
+def _count_builds(monkeypatch, module, name):
+    """Record the input of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(t, **kwargs):
+        calls.append(t)
+        return original(t, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
-def test_dual_graph_readers_share_one_facet_index():
-    # vertex ids no other test uses, so no cache holds this input yet
-    t = Triangulation.from_simplices(
-        3, [tuple(v + 2000 for v in s) for s in cross_polytope_boundary(3).simplices]
-    )
-    misses = _facet_index.cache_info().misses
+def test_census_euler_and_homology_share_one_face_lattice(monkeypatch):
+    lattices = _count_builds(monkeypatch, tri, "_faces")
+    censuses = _count_builds(monkeypatch, tri, "_census")
+    inputs = [cross_polytope_boundary(3), cross_polytope_boundary(3), torus7()]
+    for t in inputs:
+        face_census(t)
+        euler_characteristic(t)
+        homology(t)
+        barycentric_subdivide(t)
+        face_census(t)
+    # one build per object, also for two equal objects
+    assert [id(t) for t in lattices] == [id(t) for t in censuses] == list(map(id, inputs))
+
+
+def test_dual_graph_readers_share_one_facet_index(monkeypatch):
+    builds = _count_builds(monkeypatch, tri, "_facet_index")
+    inputs = [cross_polytope_boundary(3), cross_polytope_boundary(3), torus7()]
+    for t in inputs:
+        validate(t)
+        is_even_cyclic(t)
+        orientability(t)
+        dual_graph(t)
+        hol_generators(t, reverse_neighbors=True)
+        link_loop_permutation(t, face_census(t).codim2_degrees[0][0])
+        witness = is_colorable(t)
+        if t.dimension == 3:
+            gem_from_coloring(t, witness)
+    assert [id(t) for t in builds] == list(map(id, inputs))
+
+
+def test_oracle_suites_build_one_facet_index_per_object(monkeypatch):
+    builds = _count_builds(monkeypatch, tri, "_facet_index")
+    for suite in SUITE_NAMES:
+        assert run_suite(suite, seed=7)["passed"]
+    # the list keeps every input alive, so distinct objects have distinct ids
+    assert len({id(t) for t in builds}) == len(builds) == 34
+
+
+def test_derived_data_is_freed_with_its_triangulation():
+    t = cross_polytope_boundary(3)
     validate(t)
-    is_even_cyclic(t)
-    orientability(t)
-    dual_graph(t)
-    hol_generators(t)
-    assert _facet_index.cache_info().misses == misses + 1
+    face_census(t)
+    held = [t, t.facet_index, t.census, t.holonomy]
+    refs = [weakref.ref(obj) for obj in held]
+    del t, held
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_derived_data_is_not_compared_or_hashed():
+    built, fresh = torus7(), torus7()
+    face_census(built)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert "census" in vars(built) and "census" not in vars(fresh)
+
+
+# ---------------------------------------------------------------------------
+# the face budget
+
+
+def test_face_budget_admits_its_bound_and_refuses_past_it():
+    tri._check_face_budget(3, tri.FACE_BUDGET // 15)
+    tri._check_face_budget(23, 1)  # 2^24 - 1 faces
+    with pytest.raises(BudgetError, match="face budget"):
+        tri._check_face_budget(3, tri.FACE_BUDGET // 15 + 1)
+    with pytest.raises(BudgetError, match="face budget"):
+        tri._check_face_budget(24, 1)
+    # a huge dimension is refused without forming 2^(n+1)
+    with pytest.raises(BudgetError, match="face budget"):
+        tri._check_face_budget(10**12, 1)
+
+
+def test_face_lattice_over_budget_is_refused_before_it_is_built(monkeypatch):
+    builds = []
+    # never the real builder: without the budget it would exhaust memory here
+    monkeypatch.setattr(tri, "_faces", builds.append)
+    # one 24-simplex has 2^25 - 1 faces
+    t = Triangulation.from_simplices(24, [range(25)])
+    for read in (face_census, euler_characteristic, homology, barycentric_subdivide):
+        with pytest.raises(BudgetError, match="face budget"):
+            read(t)
+    assert builds == []
