@@ -6,6 +6,10 @@ dual edge (shared facet) keeps the facet's colors and forces the opposite
 vertex of the far simplex to take the one unused color.  Transporting a
 labeling around dual loops gives color permutations; the complex is
 (n+1)-colorable exactly when every loop acts trivially.
+
+:func:`hol_generators` transports plain color tuples, indexed by simplex id,
+in one breadth-first walk; :func:`propagate` carries one labeling by vertex,
+the reference for that walk and for explicit loops.
 """
 
 from __future__ import annotations
@@ -94,14 +98,17 @@ class HolonomyData:
     """Spanning-tree presentation of the dual-loop holonomy.
 
     The base is the lexicographically least simplex; the tree comes from a
-    breadth-first search with lexicographic neighbor order.  One generator
-    loop per non-tree dual edge (a, b): tree path to a, cross to b, tree path
-    back.  ``permutations[k]`` is the color permutation of generator k.
+    breadth-first search with lexicographic neighbor order.  ``colors[k]``
+    is the labeling carried along the tree to simplex k (``colors[k][i]``
+    colors its i-th smallest vertex; ``SimplexLabeling(k, colors[k])`` is
+    the same labeling as an object).  One generator loop per non-tree dual
+    edge (a, b), a < b, in (a, b) order: tree path to a, cross to b, tree
+    path back.  ``permutations[k]`` is the color permutation of generator k.
     """
 
     base: int
     parent: tuple[int, ...]  # parent simplex id, -1 at the base
-    labelings: tuple[SimplexLabeling, ...]
+    colors: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, int], ...]
     permutations: tuple[Permutation, ...]
 
@@ -134,23 +141,31 @@ def _transport(colors: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
 def hol_generators(
     t: Triangulation, *, reverse_neighbors: bool = False
 ) -> HolonomyData:
-    """Tree-propagated labelings plus one permutation per non-tree dual edge.
+    """Tree-propagated colors plus one permutation per non-tree dual edge.
 
-    ``reverse_neighbors`` flips the breadth-first visiting order, producing a
-    different spanning tree; when all generators are trivial the resulting
-    labelings must not depend on this choice.
+    One breadth-first walk from simplex 0 labels each simplex it reaches
+    with the colors carried across the tree edge (by position, see
+    ``_transport``, with the same result as ``propagate``).  When the walk
+    at ``a`` meets an already-labelled neighbour ``b > a`` that is not
+    ``a``'s parent, (a, b) is a non-tree edge and its permutation is taken
+    there: two simplices share at most one facet, so a labelled tree
+    neighbour can only be the parent, and each non-tree edge is met once
+    from its smaller end.  The generators are listed in (a, b) order.
 
-    Colors travel by position along the dual edges of the facet index (see
-    ``_transport``), with the same result as ``propagate``.
+    ``reverse_neighbors`` flips the visiting order, producing a different
+    spanning tree; when all generators are trivial the resulting colors
+    must not depend on this choice.
     """
     index = t.facet_index
     if index.components != 1:
         raise ValueError("dual graph is disconnected; validate the input first")
     adjacency = index.adjacency
-    count = len(t.simplices)
-    parent = [-1] * count
-    colors: list[tuple[int, ...] | None] = [None] * count
+    degree = t.dimension + 1
+    parent = [-1] * len(adjacency)
+    colors: list[tuple[int, ...] | None] = [None] * len(adjacency)
     colors[0] = base_labeling(t, 0).colors
+    found = []
+    distinct: dict[tuple[int, ...], Permutation] = {}
     queue = deque([0])
     while queue:
         cur = queue.popleft()
@@ -159,30 +174,22 @@ def hol_generators(
                 parent[nb] = cur
                 colors[nb] = _transport(colors[cur], i, j)
                 queue.append(nb)
-
-    generators = []
-    permutations = []
-    distinct: dict[tuple[int, ...], Permutation] = {}
-    for a, nbs in enumerate(adjacency):
-        for b, i, j in nbs:
-            if b < a or parent[a] == b or parent[b] == a:
-                continue
-            crossed = _transport(colors[a], i, j)
-            images = [0] * (t.dimension + 1)
-            for c_tree, c_cross in zip(colors[b], crossed):
-                images[c_tree - 1] = c_cross
-            key = tuple(images)
-            perm = distinct.get(key)
-            if perm is None:
-                perm = distinct[key] = Permutation(key)
-            generators.append((a, b))
-            permutations.append(perm)
+            elif cur < nb and nb != parent[cur]:
+                images = [0] * degree
+                for c_tree, c_cross in zip(colors[nb], _transport(colors[cur], i, j)):
+                    images[c_tree - 1] = c_cross
+                key = tuple(images)
+                perm = distinct.get(key)
+                if perm is None:
+                    perm = distinct[key] = Permutation(key)
+                found.append(((cur, nb), perm))
+    found.sort()
     return HolonomyData(
         base=0,
         parent=tuple(parent),
-        labelings=tuple(map(SimplexLabeling, range(count), colors)),
-        generators=tuple(generators),
-        permutations=tuple(permutations),
+        colors=tuple(colors),
+        generators=tuple(ab for ab, _perm in found),
+        permutations=tuple(perm for _ab, perm in found),
     )
 
 
@@ -199,7 +206,7 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     facet opposite one outside vertex and follows the other one.
     """
     face = tuple(sorted(face))
-    if len(face) != t.dimension - 1:
+    if len(face) != t.dimension - 1 or len(set(face)) != len(face):
         raise ValueError(f"{face} is not a codimension-2 face")
     index = t.facet_index
     inside = set(face)
@@ -256,7 +263,7 @@ def is_colorable(t: Triangulation) -> dict[int, int] | None:
     """Extract the forced (n+1)-coloring, or None when holonomy obstructs it.
 
     A coloring exists iff every generator permutation is the identity; the
-    witness reads each region's color off the tree-propagated labelings.  A
+    witness reads each region's color off the tree-propagated colors.  A
     valid pseudomanifold whose vertex stars are not manifold-like (pinched)
     can leave the extraction inconsistent even with trivial generators; that
     is detected and reported rather than returned.
@@ -265,8 +272,8 @@ def is_colorable(t: Triangulation) -> dict[int, int] | None:
     if not hol.trivial:
         return None
     coloring: dict[int, int] = {}
-    for lab in hol.labelings:
-        for v, c in zip(t.simplices[lab.simplex], lab.colors):
+    for simplex, colors in zip(t.simplices, hol.colors):
+        for v, c in zip(simplex, colors):
             if coloring.setdefault(v, c) != c:
                 raise ValueError(
                     f"forced colors disagree at region {v}; "
@@ -387,38 +394,34 @@ class DefectGraphs:
     odd_edges: tuple[tuple[int, int], ...]
     adjacency_edges: tuple[tuple[int, int], ...]
 
+    def _degrees(self, edges) -> dict[int, int]:
+        counts = Counter(itertools.chain.from_iterable(edges))
+        return {v: counts[v] for v in self.regions}
+
     def odd_degrees(self) -> dict[int, int]:
-        degs = {v: 0 for v in self.regions}
-        for a, b in self.odd_edges:
-            degs[a] += 1
-            degs[b] += 1
-        return degs
+        return self._degrees(self.odd_edges)
 
     @property
     def odd_degrees_even(self) -> bool:
         return all(d % 2 == 0 for d in self.odd_degrees().values())
 
     def adjacency_degrees(self) -> dict[int, int]:
-        degs = {v: 0 for v in self.regions}
-        for a, b in self.adjacency_edges:
-            degs[a] += 1
-            degs[b] += 1
-        return degs
+        return self._degrees(self.adjacency_edges)
 
     @property
     def adjacency_empty(self) -> bool:
         return not self.adjacency_edges
 
     def adjacency_triangle_free(self) -> bool:
-        edges = {frozenset(e) for e in self.adjacency_edges}
-        for a, b, c in itertools.combinations(sorted(self.regions), 3):
-            if (
-                frozenset((a, b)) in edges
-                and frozenset((a, c)) in edges
-                and frozenset((b, c)) in edges
-            ):
-                return False
-        return True
+        """True iff no edge of the adjacency graph has its two endpoints
+        joined to a common third region."""
+        neighbours: dict[int, set[int]] = {}
+        for a, b in self.adjacency_edges:
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+        return all(
+            neighbours[a].isdisjoint(neighbours[b]) for a, b in self.adjacency_edges
+        )
 
 
 def defect_graphs(t: Triangulation) -> DefectGraphs:
@@ -430,13 +433,12 @@ def defect_graphs(t: Triangulation) -> DefectGraphs:
     for edge, deg in t.census.codim2_degrees:
         (odd if deg % 2 else even).append(edge)
     regions = frozenset(v for e in odd for v in e)
-    adjacency = sorted(odd) + sorted(
-        e for e in even if e[0] in regions and e[1] in regions
-    )
+    # census edges are distinct, so the odd and the even ones are disjoint
+    joined = [e for e in even if e[0] in regions and e[1] in regions]
     result = DefectGraphs(
         regions=regions,
         odd_edges=tuple(sorted(odd)),
-        adjacency_edges=tuple(sorted(set(adjacency))),
+        adjacency_edges=tuple(sorted(odd + joined)),
     )
     if not result.odd_degrees_even:
         raise AssertionError(

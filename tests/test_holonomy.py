@@ -1,8 +1,12 @@
 import importlib
+import itertools
 import random
+import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorplex import (
     Permutation,
@@ -32,6 +36,7 @@ from colorplex.builders import (
     torus7,
 )
 from colorplex.errors import BudgetError
+from colorplex.holonomy import DefectGraphs
 from colorplex.perms import compose, subgroup_closure
 from colorplex.triangulation import Triangulation
 
@@ -147,9 +152,7 @@ def test_labelings_tree_independent_when_trivial():
         first = hol_generators(t)
         second = hol_generators(t, reverse_neighbors=True)
         assert first.trivial and second.trivial
-        assert [lab.colors for lab in first.labelings] == [
-            lab.colors for lab in second.labelings
-        ]
+        assert first.colors == second.colors
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +214,12 @@ def test_link_loop_rejects_an_unshared_facet():
     open_disk = Triangulation.from_simplices(2, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
     with pytest.raises(ValueError, match="which two simplices do not share"):
         link_loop_permutation(open_disk, (2,))
+
+
+def test_link_loop_rejects_a_repeated_vertex():
+    # (0, 0) has the length of a codim-2 face of a 3-complex, but one vertex
+    with pytest.raises(ValueError, match=r"^\(0, 0\) is not a codimension-2 face$"):
+        link_loop_permutation(cross_polytope_boundary(3), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +312,50 @@ def test_defects_of_4simplex_boundary_form_k5():
     assert defects.odd_degrees_even
     assert defects.adjacency_edges == defects.odd_edges
     assert not defects.adjacency_triangle_free()
+
+
+def _has_triangle(edges):
+    """Reference: some triple of vertices is pairwise joined."""
+    joined = {frozenset(e) for e in edges}
+    vertices = sorted({v for e in edges for v in e})
+    return any(
+        {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} <= joined
+        for a, b, c in itertools.combinations(vertices, 3)
+    )
+
+
+def test_triangle_check_is_fast_on_a_long_cycle():
+    n = 400
+    cycle = DefectGraphs(
+        regions=frozenset(range(n)),
+        odd_edges=(),
+        adjacency_edges=tuple(sorted([(0, n - 1)] + [(k, k + 1) for k in range(n - 1)])),
+    )
+    started = time.perf_counter()
+    assert cycle.adjacency_triangle_free()
+    # enumerating the C(400, 3) region triples instead takes seconds
+    assert time.perf_counter() - started < 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] != e[1])
+            .map(lambda e: tuple(sorted(e))),
+            unique=True,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+)
+def test_triangle_check_matches_triple_enumeration(edges):
+    graphs = DefectGraphs(
+        regions=frozenset(v for e in edges for v in e),
+        odd_edges=(),
+        adjacency_edges=tuple(sorted(edges)),
+    )
+    assert graphs.adjacency_triangle_free() == (not _has_triangle(edges))
 
 
 def test_defects_of_cross_polytope_are_empty():
@@ -421,7 +474,7 @@ def _propagated_holonomy(t, reverse_neighbors):
     for sid in adjacency:
         adjacency[sid].sort(key=lambda nb: t.simplices[nb[0]], reverse=reverse_neighbors)
     parent = [-1] * len(t.simplices)
-    labelings = [None] * len(t.simplices)
+    labelings = [None] * len(t.simplices)  # labelings[k].simplex == k
     labelings[0] = base_labeling(t, 0)
     queue = deque([0])
     while queue:
@@ -441,7 +494,8 @@ def _propagated_holonomy(t, reverse_neighbors):
             images[c_tree - 1] = c_cross
         generators.append((a, b))
         permutations.append(Permutation(tuple(images)))
-    return tuple(parent), tuple(labelings), tuple(generators), tuple(permutations)
+    colors = tuple(lab.colors for lab in labelings)
+    return tuple(parent), colors, tuple(generators), tuple(permutations)
 
 
 def _examples_and_subdivisions():
@@ -471,7 +525,7 @@ def test_hol_generators_rejects_a_disconnected_dual_graph():
 def test_hol_generators_match_propagate(reverse_neighbors):
     for t in _examples_and_subdivisions():
         hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
-        got = (hol.parent, hol.labelings, hol.generators, hol.permutations)
+        got = (hol.parent, hol.colors, hol.generators, hol.permutations)
         assert got == _propagated_holonomy(t, reverse_neighbors)
 
 

@@ -159,8 +159,8 @@ def test_homology_circle():
     assert profile.betti == (1, 1)
 
 
-def test_betti_alternating_sum_is_euler():
-    for t in (
+def _duality_inputs():
+    bases = [
         simplex_boundary(2),
         simplex_boundary(3),
         cross_polytope_boundary(2),
@@ -168,8 +168,28 @@ def test_betti_alternating_sum_is_euler():
         circle(4),
         torus7(),
         rp2_6(),
-    ):
-        assert homology(t).betti_alternating_sum() == euler_characteristic(t)
+    ]
+    subdivided = [barycentric_subdivide(t)[0] for t in bases]
+    return bases + subdivided + [cross_polytope_boundary(n) for n in (4, 5, 6)]
+
+
+def test_homology_obeys_poincare_duality():
+    """Every input is a closed connected manifold.  Orientable: b_k = b_(n-k)
+    and T_k = T_(n-k-1).  Non-orientable: b_n = 0 and T_(n-1) = (2).  The
+    alternating sum, which the CLI prints, telescopes to the face counts, so
+    it is checked beside them but cannot fail on its own."""
+    for t in _duality_inputs():
+        profile = homology(t)
+        n = t.dimension
+        assert profile.betti[0] == 1
+        if orientability(t):
+            assert profile.betti == profile.betti[::-1]
+            assert profile.torsion[:n] == profile.torsion[:n][::-1]
+            assert profile.torsion[n] == ()
+        else:
+            assert profile.betti[n] == 0
+            assert profile.torsion[n - 1] == (2,)
+        assert profile.betti_alternating_sum() == euler_characteristic(t)
 
 
 def test_subdivision_preserves_invariants():
