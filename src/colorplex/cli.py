@@ -5,6 +5,10 @@ with keys tool/version/input/subcommand/result/diagnostics; identical inputs
 and flags produce byte-identical output.  Exit status: 0 success, 1 domain
 error (invalid complex, no coloring when one was demanded, failed suite),
 2 usage or parse error (bad syntax, missing file, unknown subcommand).
+
+A handler imports what it runs.  The top of this module imports only what
+every triangulation command needs, so that a process pays at start-up for
+the layers its subcommand uses and no others.
 """
 
 from __future__ import annotations
@@ -13,29 +17,10 @@ import argparse
 import json
 import sys
 
-from . import __version__, builders
-from .circles import (
-    CircleLayers,
-    circle_colorable,
-    circle_holonomy,
-    circle_intersections,
-    circle_layers_to_text,
-    parse_circle_layers,
-)
+from . import __version__
 from .errors import BudgetError, FormatError
-from .gamma import gamma_complex, intersection_data_from_json
-from .gems import export_dot, gem_report, parse_gem
-from .holonomy import (
-    brute_force_colorable,
-    defect_free_four_coloring,
-    defect_graphs,
-    holonomy_invariants,
-    is_colorable,
-    is_locally_colorable,
-)
 from .homology import homology
-from .builders import barycentric_subdivide
-from .oracles import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES
 from .triangulation import (
     euler_characteristic,
     face_census,
@@ -143,6 +128,8 @@ def _load_triangulation(args):
         raise FormatError("exactly one input source required: a path or --example")
     if args.input:
         return parse_triangulation(_read_file(args.input)), args.input
+    from . import builders
+
     name, _, params = args.example.partition(":")
     try:
         values = [int(tok) for tok in params.split(":") if tok] if params else []
@@ -153,6 +140,8 @@ def _load_triangulation(args):
 
 
 def _load_circle(args):
+    from .circles import parse_circle_layers
+
     if bool(args.input) == bool(args.example):
         raise FormatError("exactly one input source required: a path or --example")
     if args.input:
@@ -223,6 +212,8 @@ def _run_triangulation_command(args):
         doc["betti_alternating_sum"] = profile.betti_alternating_sum()
         return doc, source
     if cmd == "holonomy":
+        from .holonomy import holonomy_invariants
+
         inv = holonomy_invariants(t)
         return {
             "base_simplex": list(t.simplices[t.holonomy.base]),
@@ -236,6 +227,8 @@ def _run_triangulation_command(args):
             "trivial": inv["trivial"],
         }, source
     if cmd == "color":
+        from .holonomy import is_colorable
+
         # is_colorable returns None exactly when the holonomy is nontrivial
         witness = is_colorable(t)
         doc = {
@@ -248,12 +241,16 @@ def _run_triangulation_command(args):
             raise DomainFailure(doc, ["no forced coloring exists"], source)
         return doc, source
     if cmd == "localcheck":
+        from .holonomy import is_locally_colorable
+
         locally, odd = is_locally_colorable(t)
         return {
             "locally_colorable": locally,
             "odd_faces": [list(f) for f in odd],
         }, source
     if cmd == "defects":
+        from .holonomy import defect_free_four_coloring, defect_graphs
+
         defects = defect_graphs(t)
         return {
             "defect_regions": sorted(defects.regions),
@@ -268,6 +265,8 @@ def _run_triangulation_command(args):
             "four_coloring": _coloring_json(defect_free_four_coloring(t)),
         }, source
     if cmd == "subdivide":
+        from .builders import barycentric_subdivide
+
         sub, coloring = barycentric_subdivide(t)
         return {
             "dim": sub.dimension,
@@ -283,10 +282,18 @@ def _run_oracle(args):
     if args.colors is None:
         if args.input is None:
             raise FormatError("oracle needs either a suite name or --colors")
+        if args.example:
+            raise FormatError("a suite runs on its own instances; --example needs --colors")
+        from .oracles import run_suite
+
         doc = run_suite(args.input, seed=args.seed)
         if not doc["passed"]:
             raise DomainFailure(doc, ["suite reported failures"], f"suite:{args.input}")
         return doc, f"suite:{args.input}"
+    if args.colors < 1:
+        raise FormatError(f"--colors must be at least 1, not {args.colors}")
+    from .holonomy import brute_force_colorable
+
     t, source = _load_triangulation(args)
     _require_valid(t, source)
     witness = brute_force_colorable(t, args.colors)
@@ -301,6 +308,9 @@ def _run_oracle(args):
 
 
 def _run_circle(args):
+    from .circles import circle_colorable, circle_holonomy, circle_intersections
+    from .gamma import gamma_complex
+
     cl, source = _load_circle(args)
     rho = circle_holonomy(cl)
     base = {
@@ -326,6 +336,8 @@ def _run_circle(args):
 def _run_gamma(args):
     if not args.input:
         raise FormatError("gamma needs an intersection-data JSON file")
+    from .gamma import gamma_complex, intersection_data_from_json
+
     try:
         data = intersection_data_from_json(_read_file(args.input))
     except json.JSONDecodeError as exc:
@@ -340,6 +352,8 @@ def _run_gamma(args):
 
 
 def _run_gem(args):
+    from .gems import export_dot, gem_report, parse_gem
+
     gem = parse_gem(_read_file(args.input))
     if args.action == "dot" or args.dot:
         return export_dot(gem), args.input

@@ -33,6 +33,7 @@ from .holonomy import (
     verify_coloring,
 )
 from .perms import Permutation
+from .suites import SUITE_NAMES
 from .triangulation import (
     Triangulation,
     euler_characteristic,
@@ -40,8 +41,6 @@ from .triangulation import (
     is_even_cyclic,
     orientability,
 )
-
-SUITE_NAMES = ("loc123", "gamma", "gem", "circle")
 
 
 def _builder_suite() -> list[tuple[str, Triangulation]]:

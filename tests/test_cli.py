@@ -70,6 +70,119 @@ def test_cli_import_leaves_networkx_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def colorplex_modules_after(*argv):
+    """The colorplex submodules a fresh process holds after ``cli.main(argv)``."""
+    script = (
+        "import json, sys; from colorplex import cli; code = cli.main(sys.argv[1:]); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('colorplex.'))), "
+        "file=sys.stderr); sys.exit(code)"
+    )
+    proc = run_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("colorplex.") for name in json.loads(proc.stderr)}
+
+
+def test_validate_imports_only_the_layers_it_runs():
+    loaded = colorplex_modules_after("validate", "--example", "torus7", "--quiet")
+    assert {"builders", "homology", "triangulation"} <= loaded
+    assert loaded.isdisjoint({"circles", "gamma", "gems", "holonomy", "oracles", "perms"})
+
+
+def test_gamma_leaves_gems_and_oracles_unloaded(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(GAMMA_ARC_PAIR))
+    loaded = colorplex_modules_after("gamma", str(path), "--quiet")
+    assert "gamma" in loaded
+    assert loaded.isdisjoint({"gems", "oracles"})
+
+
+# every name the package exported when it imported its submodules eagerly,
+# by defining module; the module names themselves were exported too
+PACKAGE_EXPORTS = {
+    "builders": [
+        "barycentric_subdivide", "circle", "cross_polytope_boundary", "example",
+        "example_names", "rp2_6", "simplex_boundary", "torus7",
+    ],
+    "circles": [
+        "Arc", "CircleLayers", "LayerState", "brute_force_circle_colorable", "circle_colorable",
+        "circle_holonomy", "circle_intersections", "circle_layers_to_text",
+        "parse_circle_layers", "sweep", "verify_circle_coloring",
+    ],
+    "errors": ["BudgetError", "FormatError"],
+    "gamma": [
+        "GammaComplex", "LayeredIntersectionData", "gamma_complex", "gamma_coloring_transfer",
+        "intersection_data_from_json",
+    ],
+    "gems": [
+        "Gem", "GemError", "GemReport", "bicolored_cycles", "export_dot", "gem_from_coloring",
+        "gem_from_dot_comments", "gem_report", "gem_to_text", "is_planar_multigraph",
+        "parse_gem",
+    ],
+    "holonomy": [
+        "DefectGraphs", "HolonomyData", "SimplexLabeling", "base_labeling",
+        "brute_force_colorable", "defect_free_four_coloring", "defect_graphs",
+        "hol_generators", "holonomy_invariants", "is_colorable", "is_locally_colorable",
+        "link_loop_permutation", "path_permutation", "propagate", "verify_coloring",
+    ],
+    "homology": ["HomologyProfile", "homology", "smith_invariant_factors"],
+    "perms": ["Permutation", "compose", "cycle_type", "identity", "invert", "subgroup_closure"],
+    "triangulation": [
+        "DualGraph", "FaceCensus", "Triangulation", "ValidationReport", "dual_graph",
+        "euler_characteristic", "face_census", "is_even_cyclic", "orientability",
+        "parse_triangulation", "triangulation_to_text", "validate",
+    ],
+}
+
+# run in a fresh process, so that every lazy name is resolved here first
+PARITY_SCRIPT = """
+import importlib, json, sys
+import colorplex
+exports = json.loads(sys.argv[1])
+report = {"mismatched": [], "missing_from_all": [], "missing_from_dir": []}
+report["eager"] = sorted(m for m in sys.modules if m.startswith("colorplex."))
+listed = dir(colorplex)  # before any lazy name is resolved
+for module_name, names in exports.items():
+    values = {name: getattr(colorplex, name) for name in names}
+    # homology is the function of that name, not its module
+    submodule = None if module_name == "homology" else getattr(colorplex, module_name)
+    module = importlib.import_module("colorplex." + module_name)
+    pairs = [(name, value, getattr(module, name)) for name, value in values.items()]
+    if submodule is not None:
+        pairs.append((module_name, submodule, module))
+    for name, value, expected in pairs:
+        if value is not expected:
+            report["mismatched"].append(name)
+        if name not in colorplex.__all__:
+            report["missing_from_all"].append(name)
+        if name not in listed:
+            report["missing_from_dir"].append(name)
+namespace = {}
+exec("from colorplex import *", namespace)
+report["star"] = sorted(name for name in namespace if name != "__builtins__")
+report["has_unknown"] = hasattr(colorplex, "no_such_name")
+function = sys.modules["colorplex.homology"].homology
+report["homology_is_function"] = [colorplex.homology is function]
+import colorplex.cli, colorplex.homology
+report["homology_is_function"].append(colorplex.homology is function)
+print(json.dumps(report))
+"""
+
+
+def test_lazy_package_keeps_every_export():
+    proc = run_python("-c", PARITY_SCRIPT, json.dumps(PACKAGE_EXPORTS))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["eager"] == ["colorplex.errors", "colorplex.homology", "colorplex.triangulation"]
+    assert report["mismatched"] == []
+    assert report["missing_from_all"] == []
+    assert report["missing_from_dir"] == []
+    expected = {name for names in PACKAGE_EXPORTS.values() for name in names}
+    assert set(report["star"]) == expected | set(PACKAGE_EXPORTS)
+    assert report["has_unknown"] is False
+    # after every lazy name was touched, then after importing the submodule
+    assert report["homology_is_function"] == [True, True]
+
+
 def test_gem_report_runs_without_networkx(tmp_path):
     path = tmp_path / "min.gem"
     path.write_text(MINIMAL_GEM)
@@ -307,6 +420,27 @@ def test_oracle_brute_force_modes():
     assert code == 1 and not doc["result"]["colorable"]
     code, _doc = run_json("oracle", "--example", "simplex_boundary:2")
     assert code == 2  # neither suite nor --colors
+
+
+@pytest.mark.parametrize("colors", ["0", "-1"])
+def test_oracle_color_count_below_one_is_a_usage_error(capsys, monkeypatch, colors):
+    def search(t, colors):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(holonomy, "brute_force_colorable", search)
+    code, doc = run_in_process(
+        capsys, "oracle", "--example", "simplex_boundary:2", "--colors", colors
+    )
+    assert code == 2
+    assert doc["result"] is None
+    assert doc["diagnostics"] == [f"--colors must be at least 1, not {colors}"]
+
+
+def test_oracle_suite_with_example_is_a_usage_error(capsys):
+    code, doc = run_in_process(capsys, "oracle", "loc123", "--example", "torus7")
+    assert code == 2
+    assert doc["result"] is None
+    assert "--example" in doc["diagnostics"][0]
 
 
 def test_oracle_suites_pass():
