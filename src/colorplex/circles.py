@@ -312,10 +312,8 @@ def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
     )
 
 
-def brute_force_circle_colorable(
-    cl: CircleLayers, colors: int | None = None
-) -> dict[str, int] | None:
-    """Exhaustive search over arc color assignments.
+def brute_force_circle_colorable(cl: CircleLayers) -> dict[str, int] | None:
+    """Exhaustive search over arc assignments of the j + 1 colors.
 
     Arcs are assigned in (layer, index) order with colors tried ascending and
     improper prefixes pruned, so the enumeration covers exactly the proper
@@ -324,7 +322,5 @@ def brute_force_circle_colorable(
     search does.
     """
     order = [a.id for a in sorted(cl.all_arcs(), key=lambda a: (a.layer, a.index))]
-    found = _least_proper_coloring(
-        order, _meeting_pairs(cl), cl.j + 1 if colors is None else colors
-    )
+    found = _least_proper_coloring(order, _meeting_pairs(cl), cl.j + 1)
     return None if found is None else dict(zip(order, found))

@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--example", help="built-in instance, name:params")
     p.add_argument("--colors", type=int, help="brute-force search with this many colors")
-    p.add_argument("--seed", type=int, default=0, help="seed for random instances")
+    p.add_argument("--seed", type=int, help="seed for a suite's random instances (default 0)")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("circle")
@@ -286,12 +286,14 @@ def _run_oracle(args):
             raise FormatError("a suite runs on its own instances; --example needs --colors")
         from .oracles import run_suite
 
-        doc = run_suite(args.input, seed=args.seed)
+        doc = run_suite(args.input, seed=0 if args.seed is None else args.seed)
         if not doc["passed"]:
             raise DomainFailure(doc, ["suite reported failures"], f"suite:{args.input}")
         return doc, f"suite:{args.input}"
     if args.colors < 1:
         raise FormatError(f"--colors must be at least 1, not {args.colors}")
+    if args.seed is not None:
+        raise FormatError("the brute-force search draws nothing at random; --seed needs a suite")
     from .holonomy import brute_force_colorable
 
     t, source = _load_triangulation(args)

@@ -519,8 +519,10 @@ def gem_from_coloring(t: Triangulation, coloring) -> Gem:
     """Encode a 4-colored 3-dimensional complex as a gem.
 
     Gem vertices are the simplex ids; each shared facet becomes an edge
-    colored by the color of the vertex opposite the facet, which both sides
-    agree on because every simplex is rainbow.
+    colored by the color of the vertex opposite the facet.  Invariant: both
+    sides agree on it, because once ``verify_coloring`` passes both
+    simplices are rainbow, so both far vertices carry the one color that
+    the shared facet lacks.
     """
     if t.dimension != 3:
         raise ValueError(f"gem encoding needs n=3, got n={t.dimension}")
@@ -532,10 +534,7 @@ def gem_from_coloring(t: Triangulation, coloring) -> Gem:
     for a, nbs in enumerate(t.facet_index.adjacency):
         for b, i, j in nbs:
             if a < b:
-                color = coloring[t.simplices[a][i]]
-                if color != coloring[t.simplices[b][j]]:
-                    raise AssertionError("rainbow simplices must agree across a facet")
-                edges.append((a, b, color))
+                edges.append((a, b, coloring[t.simplices[a][i]]))
     return Gem.from_edges(edges)
 
 

@@ -425,7 +425,14 @@ class DefectGraphs:
 
 
 def defect_graphs(t: Triangulation) -> DefectGraphs:
-    """Locate the 4-coloring defects of a 3-dimensional complex."""
+    """Locate the 4-coloring defects of a 3-dimensional complex.
+
+    On a closed complex every triangle lies in two tetrahedra, so the T
+    tetrahedra and E triangles at a vertex v satisfy 3T = 2E and T is even.
+    The degrees of the edges at v sum to 3T, so v lies on an even number of
+    odd-degree edges.  A complex where that fails is not closed, and raises
+    ValueError.
+    """
     if t.dimension != 3:
         raise ValueError(f"defect graphs are defined for n=3, got n={t.dimension}")
     odd = []
@@ -441,9 +448,9 @@ def defect_graphs(t: Triangulation) -> DefectGraphs:
         adjacency_edges=tuple(sorted(odd + joined)),
     )
     if not result.odd_degrees_even:
-        raise AssertionError(
-            "a region with an odd number of odd-degree edges contradicts "
-            "the boundary-parity of its star"
+        raise ValueError(
+            "a region with an odd number of odd-degree edges; "
+            "the complex is not closed"
         )
     return result
 

@@ -4,7 +4,9 @@ Boundary matrices are eliminated over the integers with arbitrary precision;
 no modular shortcuts, so torsion coefficients are exact.  Boundary matrices
 are mostly +-1, so sparse sweeps over the rows first eliminate unit pivots:
 each row is pivoted on its +-1 entry in the column with the fewest rows.
-The small remainder without unit entries is then diagonalised classically.
+The small remainder without unit entries is reduced in the same sparse rows,
+always pivoting on an entry of least absolute value, which keeps the
+intermediate coefficients small.
 """
 
 from __future__ import annotations
@@ -15,57 +17,78 @@ from math import gcd
 from .triangulation import Triangulation
 
 
-def _dense_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonalise a small integer matrix by row/column reduction and return
-    the nonzero diagonal entries (not yet in divisibility order)."""
-    a = [row[:] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+def _sparse(
+    rows: list[dict[int, int]],
+) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
+    """Copies of the nonzero rows, keyed by row number, and the index from
+    each column to the rows holding a nonzero entry in it."""
+    row_data = {i: {c: v for c, v in row.items() if v} for i, row in enumerate(rows)}
+    row_data = {i: r for i, r in row_data.items() if r}
+    col_index: dict[int, set[int]] = {}
+    for i, row in row_data.items():
+        for c in row:
+            col_index.setdefault(c, set()).add(i)
+    return row_data, col_index
+
+
+def _clear_column(
+    row_data: dict[int, dict[int, int]], col_index: dict[int, set[int]], pr: int, pc: int
+) -> None:
+    """Subtract floor(row[pc] / p) times the pivot row, whose entry in column
+    ``pc`` is p, from every other row with an entry there, keeping the column
+    index in step.  Each such row is left with ``row[pc] % p``: nothing when
+    p is +-1, and otherwise an entry smaller than |p| or nothing."""
+    pivot_row = row_data[pr]
+    p = pivot_row[pc]
+    for i in list(col_index[pc]):
+        if i == pr:
+            continue
+        row = row_data[i]
+        q = row[pc] // p
+        for c, v in pivot_row.items():
+            new = row.get(c, 0) - q * v
+            if new:
+                if c not in row:
+                    col_index.setdefault(c, set()).add(i)
+                row[c] = new
+            elif c in row:
+                del row[c]
+                col_index[c].discard(i)
+        if not row:
+            del row_data[i]
+
+
+def _smallest_pivot_diagonal(
+    row_data: dict[int, dict[int, int]], col_index: dict[int, set[int]]
+) -> list[int]:
+    """Reduce sparse rows to a diagonal and return its nonzero entries (not
+    yet in divisibility order).  ``row_data`` is left empty.
+
+    Each step pivots on an entry p of least absolute value, clears its column
+    by floor-division row operations, and then, once the column holds only
+    p, clears its row by column operations, which change the pivot row alone
+    (``pivot_row[c] %= p``).  Any nonzero remainder is smaller than |p|, so
+    the pivot is chosen again and shrinks with every retry until p divides
+    its whole row and column.
+    """
     out: list[int] = []
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        # alternate row and column reduction until both are clear
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        out.append(abs(a[t][t]))
-        t += 1
-        if t >= rows or t >= cols:
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j]:
-                        raise AssertionError("diagonalisation left a nonzero entry")
-            break
+    while row_data:
+        _, pr, pc = min((abs(v), i, c) for i, row in row_data.items() for c, v in row.items())
+        pivot_row = row_data[pr]
+        p = pivot_row[pc]
+        _clear_column(row_data, col_index, pr, pc)
+        if len(col_index[pc]) > 1:
+            continue
+        for c in list(pivot_row):
+            if c != pc:
+                pivot_row[c] %= p
+                if not pivot_row[c]:
+                    del pivot_row[c]
+                    col_index[c].discard(pr)
+        if len(pivot_row) > 1:
+            continue
+        out.append(abs(p))
+        del row_data[pr], col_index[pc]
     return out
 
 
@@ -73,20 +96,17 @@ def _normalise_divisibility(diagonal: list[int]) -> list[int]:
     """Rearrange a diagonal into invariant factors d1 | d2 | ... .
 
     A 1 divides everything, so the 1s are counted and set aside before the
-    pairwise gcd loop, which then runs over the non-unit entries only.
+    gcd/lcm pass, which then runs over the non-unit entries only.  Pass i
+    replaces d[i], d[j] by their gcd and lcm for every later j, so that
+    afterwards d[i] divides every later entry, and later passes keep that.
     """
     ones = diagonal.count(1)
     d = [x for x in diagonal if x not in (0, 1)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i] != 0:
-                    g = gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] * d[j] // g
-                    changed = True
-    return [1] * ones + sorted(d)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return [1] * ones + d
 
 
 def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
@@ -97,17 +117,10 @@ def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     fewest rows, which clears that column from the other rows, and the sweep
     is repeated while the previous one eliminated something.  Choosing the
     pivot costs O(row length), not a scan of the whole matrix.  Whatever
-    remains (no unit entries) is diagonalised densely.  The input rows are
-    not modified.
+    remains (no unit entries) is reduced in the same sparse rows by
+    :func:`_smallest_pivot_diagonal`.  The input rows are not modified.
     """
-    row_data: dict[int, dict[int, int]] = {
-        i: {c: v for c, v in row.items() if v} for i, row in enumerate(rows)
-    }
-    row_data = {i: r for i, r in row_data.items() if r}
-    col_index: dict[int, set[int]] = {}
-    for i, row in row_data.items():
-        for c in row:
-            col_index.setdefault(c, set()).add(i)
+    row_data, col_index = _sparse(rows)
 
     ones = 0
     eliminated = True
@@ -128,24 +141,7 @@ def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
                             break
             if pc is None:
                 continue
-            pv = pivot_row[pc]
-            for i in list(col_index[pc]):
-                if i == pr:
-                    continue
-                row = row_data[i]
-                factor = row[pc] * pv  # pv is +-1, so this is row[pc] / pv
-                for c, v in pivot_row.items():
-                    new = row.get(c, 0) - factor * v
-                    if new:
-                        if c not in row:
-                            col_index.setdefault(c, set()).add(i)
-                        row[c] = new
-                    else:
-                        if c in row:
-                            del row[c]
-                            col_index[c].discard(i)
-                if not row:
-                    del row_data[i]
+            _clear_column(row_data, col_index, pr, pc)
             for c in pivot_row:
                 col_index[c].discard(pr)
                 if not col_index[c]:
@@ -154,18 +150,8 @@ def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
             ones += 1
             eliminated = True
 
-    factors = [1] * ones
-    if row_data:
-        cols = sorted({c for row in row_data.values() for c in row})
-        col_pos = {c: k for k, c in enumerate(cols)}
-        dense = []
-        for row in row_data.values():
-            line = [0] * len(cols)
-            for c, v in row.items():
-                line[col_pos[c]] = v
-            dense.append(line)
-        factors.extend(_dense_diagonal(dense))
-    return _normalise_divisibility(factors)
+    remainder = _smallest_pivot_diagonal(row_data, col_index)
+    return _normalise_divisibility([1] * ones + remainder)
 
 
 # ---------------------------------------------------------------------------

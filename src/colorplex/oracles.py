@@ -79,9 +79,9 @@ def _relabel(t: Triangulation, rng: random.Random) -> Triangulation:
     )
 
 
-def seeded_refinements(seed: int, count: int = 20) -> list[tuple[str, Triangulation]]:
-    """Barycentric refinements of randomly chosen orientable builders with
-    random order-preserving relabelings."""
+def seeded_refinements(seed: int) -> list[tuple[str, Triangulation]]:
+    """Twenty barycentric refinements of randomly chosen orientable builders
+    with random order-preserving relabelings."""
     rng = random.Random(seed)
     bases = [
         ("simplex_boundary:2", builders.simplex_boundary(2)),
@@ -91,7 +91,7 @@ def seeded_refinements(seed: int, count: int = 20) -> list[tuple[str, Triangulat
         ("torus7", builders.torus7()),
     ]
     out = []
-    for k in range(count):
+    for k in range(20):
         name, base = rng.choice(bases)
         if rng.random() < 0.5:
             base = _relabel(base, rng)

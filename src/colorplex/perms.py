@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import BudgetError
@@ -138,7 +137,8 @@ def subgroup_closure(
 
     Returns (order, sorted element tuple).  The identity is always included.
     Degrees above CLOSURE_DEGREE_LIMIT are refused to keep the closure
-    enumerable.
+    enumerable.  Invariant: there are at most degree! distinct permutations
+    of that degree, so the closure ends within the full symmetric group.
     """
     generators = list(generators)
     if degree is None:
@@ -152,7 +152,6 @@ def subgroup_closure(
         raise BudgetError(
             f"closure degree {degree} exceeds limit {CLOSURE_DEGREE_LIMIT}"
         )
-    limit = math.factorial(degree)
     elements = {Permutation.identity(degree)}
     frontier = list(elements)
     while frontier:
@@ -163,8 +162,6 @@ def subgroup_closure(
                 if q not in elements:
                     elements.add(q)
                     fresh.append(q)
-        if len(elements) > limit:
-            raise AssertionError("closure exceeded the full symmetric group")
         frontier = fresh
     ordered = tuple(sorted(elements))
     return len(ordered), ordered

@@ -443,6 +443,19 @@ def test_oracle_suite_with_example_is_a_usage_error(capsys):
     assert "--example" in doc["diagnostics"][0]
 
 
+def test_oracle_brute_force_with_seed_is_a_usage_error(capsys, monkeypatch):
+    def search(t, colors):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(holonomy, "brute_force_colorable", search)
+    code, doc = run_in_process(
+        capsys, "oracle", "--example", "simplex_boundary:2", "--colors", "4", "--seed", "5"
+    )
+    assert code == 2
+    assert doc["result"] is None
+    assert "--seed" in doc["diagnostics"][0]
+
+
 def test_oracle_suites_pass():
     for suite in ("circle", "gem"):
         code, doc = run_json("oracle", suite)

@@ -376,6 +376,12 @@ def test_defects_require_dimension_3():
         defect_graphs(simplex_boundary(2))
 
 
+def test_defects_of_a_complex_that_is_not_closed_raise_value_error():
+    # one tetrahedron: every vertex lies on three edges of degree 1
+    with pytest.raises(ValueError, match="not closed"):
+        defect_graphs(Triangulation.from_simplices(3, [(0, 1, 2, 3)]))
+
+
 def test_defect_free_four_coloring():
     t = cross_polytope_boundary(3)
     coloring = defect_free_four_coloring(t)

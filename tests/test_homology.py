@@ -1,8 +1,12 @@
 import importlib
+import os
+import subprocess
+import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import colorplex
 from colorplex import (
     barycentric_subdivide,
     euler_characteristic,
@@ -15,7 +19,7 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
-from colorplex.homology import _dense_diagonal, _normalise_divisibility
+from colorplex.homology import _normalise_divisibility, _smallest_pivot_diagonal, _sparse
 
 
 def _dense(rows):
@@ -70,17 +74,64 @@ def _integer_matrices(draw):
     return matrix
 
 
+# Row and column Euclid steps without control of the pivot size grow the
+# coefficients of these two matrices until A, reduced as a whole matrix,
+# runs for more than 20 s, and B, after the unit sweep, for seconds.  Each
+# has seven unit invariant factors.
+BLOW_UP_A = [
+    [-1, -1, -6, 0, 6, 0, -3], [0, 5, -1, 4, 5, 5, -1], [-2, 2, -1, 0, 4, 0, -2],
+    [1, 0, 3, 3, -1, 3, 0], [0, 4, 1, -3, 1, 0, -1], [6, 1, 5, -1, 4, 0, -2],
+    [-1, 0, -4, 2, 0, 1, 2], [0, -5, -2, -1, 0, 0, 3],
+]
+BLOW_UP_B = [
+    [2, 6, 0, 0, -2, 6, -1, -6], [0, 1, 0, 0, 0, 1, 1, 0], [-5, -1, -6, 4, -6, 0, 5, 0],
+    [1, 4, -3, -6, 0, -6, -1, -2], [-1, -1, 0, 0, -5, 0, -1, -1],
+    [0, -6, -1, 1, -1, -2, -1, 1], [0, -1, -3, 0, -3, 1, -5, -1],
+]
+
+
+def _whole_matrix_factors(matrix):
+    """The smallest-pivot reduction on the whole matrix, without the unit
+    sweep that ``smith_invariant_factors`` runs first."""
+    return _normalise_divisibility(_smallest_pivot_diagonal(*_sparse(_dense(matrix))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_integer_matrices())
+@example(BLOW_UP_A)
+@example(BLOW_UP_B)
 def test_snf_matches_dense_and_sympy_oracles(matrix):
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form
 
     factors = smith_invariant_factors(_dense(matrix))
-    assert factors == _normalise_divisibility(_dense_diagonal(matrix))
+    assert factors == _whole_matrix_factors(matrix)
     snf = smith_normal_form(Matrix(matrix), domain=ZZ)
     diagonal = [abs(snf[k, k]) for k in range(min(snf.shape))]
     assert factors == [int(d) for d in diagonal if d]
+
+
+def test_snf_blow_up_matrices_factor_within_a_timeout():
+    # in a subprocess, so that a return of the coefficient blow-up fails
+    # here at the timeout instead of hanging the run
+    script = (
+        "from colorplex.homology import _normalise_divisibility, _smallest_pivot_diagonal, "
+        "_sparse, smith_invariant_factors\n"
+        f"for m in {[BLOW_UP_A, BLOW_UP_B]!r}:\n"
+        "    rows = [{j: v for j, v in enumerate(r) if v} for r in m]\n"
+        "    print(smith_invariant_factors(rows), "
+        "_normalise_divisibility(_smallest_pivot_diagonal(*_sparse(rows))))\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(colorplex.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{[1] * 7} {[1] * 7}"] * 2
 
 
 def test_snf_dense_remainder_after_unit_elimination(monkeypatch):
@@ -88,16 +139,16 @@ def test_snf_dense_remainder_after_unit_elimination(monkeypatch):
     module = importlib.import_module("colorplex.homology")
     remainders = []
 
-    def recording(matrix):
-        remainders.append([row[:] for row in matrix])
-        return _dense_diagonal(matrix)
+    def recording(row_data, col_index):
+        remainders.append({i: dict(row) for i, row in row_data.items()})
+        return _smallest_pivot_diagonal(row_data, col_index)
 
-    monkeypatch.setattr(module, "_dense_diagonal", recording)
+    monkeypatch.setattr(module, "_smallest_pivot_diagonal", recording)
     # two unit rows whose elimination turns the last two rows into the
     # block [[2, 4], [6, 8]], which has no unit entry left
     matrix = [[1, 1, 0, 0], [0, -1, 0, 0], [2, 0, 2, 4], [0, 3, 6, 8]]
     assert smith_invariant_factors(_dense(matrix)) == [1, 1, 2, 4]
-    assert remainders == [[[2, 4], [6, 8]]]
+    assert remainders == [{2: {2: 2, 3: 4}, 3: {2: 6, 3: 8}}]
 
 
 def test_normalise_sets_units_aside():
