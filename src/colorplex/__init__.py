@@ -53,16 +53,13 @@ _LAZY = {
         "torus7",
     ),
     "circles": (
-        "Arc",
         "CircleLayers",
-        "LayerState",
         "brute_force_circle_colorable",
         "circle_colorable",
         "circle_holonomy",
         "circle_intersections",
         "circle_layers_to_text",
         "parse_circle_layers",
-        "sweep",
         "verify_circle_coloring",
     ),
     "gamma": (

@@ -2,10 +2,12 @@
 
 Each layer cuts the circle (circumference C, exact rationals) into arcs at
 its boundary points; layers are overlaid, with all boundary points distinct.
-j layers need j+1 colors: at any point the j arcs passing through carry j
-distinct colors and one color is free.  Crossing a boundary point of layer i
-swaps layer i's color with the free one, which forces the whole coloring
-along a sweep and yields a permutation in S_{j+1} per lap.
+Arc k of layer i runs from the layer's point k to its next point and is
+named ``l{i}a{k}``.  j layers need j+1 colors: at any point the j arcs
+passing through carry j distinct colors and one color is free.  A lap keeps
+them as one list, the layers' colors and then the free one.  Crossing a
+boundary point of layer i swaps entry i with the last, which forces the
+whole coloring along a sweep and yields a permutation in S_{j+1} per lap.
 
 The same sweep decides where the closed arcs meet.  At a boundary point p of
 layer i, one arc of layer i ends and the next begins, and every other layer
@@ -14,7 +16,9 @@ Q meets exactly when it lies in some stab: its meeting set is a union of
 pieces, and each piece begins at the boundary point where one of Q's arcs is
 entered.  So the pieces of Q correspond one to one with the crossings whose
 stab holds Q and whose entered arc is in Q.  A piece is the point p alone
-when Q holds both arcs of layer i at p, and an arc otherwise.
+when Q holds both arcs of layer i at p, and an arc otherwise.  ``_crossings``
+is the one walk that tracks arcs: the coloring, the meeting pairs and the
+intersection record all read it.
 """
 
 from __future__ import annotations
@@ -30,19 +34,8 @@ from .holonomy import _least_proper_coloring
 from .perms import Permutation
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One arc of one layer: [start, end] with start < end <= start + C.
-    Arcs whose end exceeds C wrap through position 0."""
-
-    layer: int  # 1-based
-    index: int  # position of the start point in the layer's sorted list
-    start: Fraction
-    end: Fraction
-
-    @property
-    def id(self) -> str:
-        return f"l{self.layer}a{self.index}"
+def _arc_id(layer: int, index: int) -> str:
+    return f"l{layer}a{index}"
 
 
 def _layer_fault(li: int, points, circumference: Fraction) -> str | None:
@@ -94,20 +87,14 @@ class CircleLayers:
     def j(self) -> int:
         return len(self.layers)
 
-    def arcs(self) -> tuple[tuple[Arc, ...], ...]:
-        """Per layer: arc k runs from point k to the next point (wrapping)."""
-        out = []
-        for li, points in enumerate(self.layers, start=1):
-            arcs = []
-            m = len(points)
-            for k, p in enumerate(points):
-                end = points[k + 1] if k + 1 < m else points[0] + self.circumference
-                arcs.append(Arc(layer=li, index=k, start=p, end=end))
-            out.append(tuple(arcs))
-        return tuple(out)
-
-    def all_arcs(self) -> tuple[Arc, ...]:
-        return tuple(a for layer in self.arcs() for a in layer)
+    def arc_ids(self) -> tuple[tuple[str, int], ...]:
+        """(id, layer) of every arc in (layer, index) order.  Arc k of a
+        layer runs from its point k to the next point, wrapping past C."""
+        return tuple(
+            (_arc_id(li, k), li)
+            for li, points in enumerate(self.layers, start=1)
+            for k in range(len(points))
+        )
 
     def arc_count(self) -> int:
         return sum(len(points) for points in self.layers)
@@ -203,69 +190,42 @@ def circle_layers_to_text(cl: CircleLayers) -> str:
 # the sweep
 
 
-@dataclass(frozen=True)
-class LayerState:
-    """Colors of the j arcs currently underfoot plus the one free color."""
-
-    colors: tuple[int, ...]
-    free: int
-
-    @classmethod
-    def initial(cls, j: int) -> "LayerState":
-        return cls(colors=tuple(range(1, j + 1)), free=j + 1)
-
-    def cross(self, layer: int) -> "LayerState":
-        """Crossing a boundary point of ``layer`` swaps its color with the
-        free one; crossing the same point again undoes it."""
-        colors = list(self.colors)
-        colors[layer - 1], new_free = self.free, colors[layer - 1]
-        return LayerState(colors=tuple(colors), free=new_free)
-
-
-def sweep(cl: CircleLayers, *, reverse: bool = False) -> LayerState:
-    """Run one full lap from 0+ and return the end state."""
-    state = LayerState.initial(cl.j)
-    events = cl.sweep_order
-    if reverse:
-        events = tuple(reversed(events))
-    for _pos, layer, _k in events:
-        state = state.cross(layer)
-    return state
-
-
 def circle_holonomy(cl: CircleLayers, *, reverse: bool = False) -> Permutation:
     """Permutation in S_{j+1} taking each start color to its end color after
-    one lap.  The free color's image is forced by bijectivity."""
-    end = sweep(cl, reverse=reverse)
-    images = list(end.colors) + [end.free]
-    return Permutation(tuple(images))
+    one lap.  The lap holds the colors of the j layers, then the free one."""
+    lap = list(range(1, cl.j + 2))
+    for _pos, layer, _k in reversed(cl.sweep_order) if reverse else cl.sweep_order:
+        lap[layer - 1], lap[-1] = lap[-1], lap[layer - 1]
+    return Permutation(tuple(lap))
 
 
 def _crossings(cl: CircleLayers):
     """Walk the boundary points in sweep order, keeping the id of the arc
-    underfoot in each layer.  At each point p yield (the arc of p's layer that
-    ends at p, the arc that starts at p, the sorted ids of p's stab)."""
-    arcs = cl.arcs()
+    underfoot in each layer.  At each point p yield (p's layer, the id of the
+    arc that ends at p, the id of the arc that starts at p, the sorted ids of
+    p's stab)."""
+    ids = [[_arc_id(li, k) for k in range(len(points))]
+           for li, points in enumerate(cl.layers, start=1)]
     # at 0+ a layer stands on its arc starting at 0, else on its wrapping arc
-    underfoot = [(layer[0] if layer[0].start == 0 else layer[-1]).id for layer in arcs]
+    underfoot = [row[0] if points[0] == 0 else row[-1] for row, points in zip(ids, cl.layers)]
     for _pos, layer, k in cl.sweep_order:
-        ended, entered = arcs[layer - 1][k - 1], arcs[layer - 1][k]
-        underfoot[layer - 1] = entered.id
-        yield ended, entered, tuple(sorted([ended.id, *underfoot]))
+        ended, entered = ids[layer - 1][k - 1], ids[layer - 1][k]
+        underfoot[layer - 1] = entered
+        yield layer, ended, entered, tuple(sorted([ended, *underfoot]))
 
 
 def circle_colorable(cl: CircleLayers) -> dict[str, int] | None:
     """The forced coloring of all arcs, or None when the sweep disagrees with
     itself (exactly when the holonomy is not the identity)."""
     coloring: dict[str, int] = {}
-    state = LayerState.initial(cl.j)
-    for ended, entered, _stab in _crossings(cl):
+    lap = list(range(1, cl.j + 2))  # as in circle_holonomy
+    for layer, ended, entered, _stab in _crossings(cl):
         # an arc keeps its layer's color until the sweep leaves it, so the
         # first arc a layer leaves (the one underfoot at 0+) gets its start color
-        coloring.setdefault(ended.id, state.colors[ended.layer - 1])
-        state = state.cross(entered.layer)
-        color = state.colors[entered.layer - 1]
-        if coloring.setdefault(entered.id, color) != color:
+        coloring.setdefault(ended, lap[layer - 1])
+        lap[layer - 1], lap[-1] = lap[-1], lap[layer - 1]
+        color = lap[layer - 1]
+        if coloring.setdefault(entered, color) != color:
             return None
     return coloring
 
@@ -274,7 +234,7 @@ def _meeting_pairs(cl: CircleLayers) -> set[tuple[str, str]]:
     """Id pairs of the arcs whose closures meet: the pairs of each stab."""
     return {
         pair
-        for _ended, _entered, stab in _crossings(cl)
+        for _layer, _ended, _entered, stab in _crossings(cl)
         for pair in itertools.combinations(stab, 2)
     }
 
@@ -283,7 +243,7 @@ def verify_circle_coloring(cl: CircleLayers, coloring) -> bool:
     """Proper means: arcs whose closures meet get distinct colors (adjacent
     arcs of one layer, overlapping arcs of different layers).  Raises
     ValueError when the coloring misses an arc."""
-    missing = [a.id for a in cl.all_arcs() if a.id not in coloring]
+    missing = [aid for aid, _layer in cl.arc_ids() if aid not in coloring]
     if missing:
         raise ValueError(f"partial coloring; missing regions {missing[:5]}")
     return all(coloring[a] != coloring[b] for a, b in _meeting_pairs(cl))
@@ -301,14 +261,13 @@ def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
     holds it and whose entered arc is in it.
     """
     tagged: dict[tuple[str, ...], int] = {}
-    for ended, entered, stab in _crossings(cl):
+    for _layer, ended, entered, stab in _crossings(cl):
         for size in range(1, len(stab) + 1):
             for q in itertools.combinations(stab, size):
-                tagged[q] = 0 if ended.id in q and entered.id in q else 1
-    regions = tuple((a.id, a.layer) for a in cl.all_arcs())
+                tagged[q] = 0 if ended in q and entered in q else 1
     intersections = tuple(sorted(tagged.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return LayeredIntersectionData(
-        n=1, j=cl.j, regions=regions, intersections=intersections
+        n=1, j=cl.j, regions=cl.arc_ids(), intersections=intersections
     )
 
 
@@ -321,6 +280,6 @@ def brute_force_circle_colorable(cl: CircleLayers) -> dict[str, int] | None:
     Refuses more than BRUTE_FORCE_VERTEX_LIMIT arcs, as the triangulation
     search does.
     """
-    order = [a.id for a in sorted(cl.all_arcs(), key=lambda a: (a.layer, a.index))]
+    order = [aid for aid, _layer in cl.arc_ids()]
     found = _least_proper_coloring(order, _meeting_pairs(cl), cl.j + 1)
     return None if found is None else dict(zip(order, found))

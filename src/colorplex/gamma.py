@@ -108,20 +108,34 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _array(value, key: str) -> list:
+    # a JSON array; iterating the string "ab" would read the regions a and b
+    if not isinstance(value, list):
+        raise FormatError(
+            f"malformed intersection data: {key} must be an array, got {value!r}"
+        )
+    return value
+
+
 def intersection_data_from_json(source) -> LayeredIntersectionData:
     """Build intersection data from a JSON document (text or parsed dict).
     Region ids are coerced to strings.  A missing key, a value of the wrong
-    type or a non-integer ``n``/``j``/``layer``/``dim`` raises
+    type, a ``regions`` value that is not an array or a non-integer
+    ``n``/``j``/``layer``/``dim`` raises
     :class:`FormatError`; faults between entries (missing singletons or
     subsets, one-layer meetings) stay the ``ValueError`` of
     :class:`LayeredIntersectionData`."""
     obj = json.loads(source) if isinstance(source, str) else source
     try:
         regions = tuple(
-            (str(r["id"]), _integer(r["layer"], "layer")) for r in obj["regions"]
+            (str(r["id"]), _integer(r["layer"], "layer"))
+            for r in _array(obj["regions"], "regions")
         )
         intersections = tuple(
-            (tuple(sorted(str(x) for x in item["regions"])), _integer(item["dim"], "dim"))
+            (
+                tuple(sorted(str(x) for x in _array(item["regions"], "regions"))),
+                _integer(item["dim"], "dim"),
+            )
             for item in obj["intersections"]
         )
         n = _integer(obj["n"], "n")

@@ -19,11 +19,10 @@ from .circles import (
     circle_colorable,
     circle_holonomy,
     circle_intersections,
-    sweep,
     verify_circle_coloring,
 )
 from .gamma import gamma_complex, gamma_coloring_transfer
-from .gems import Gem, bicolored_cycles, gem_from_coloring, gem_report
+from .gems import Gem, GemError, bicolored_cycles, gem_from_coloring, gem_report
 from .holonomy import (
     brute_force_colorable,
     hol_generators,
@@ -124,9 +123,10 @@ def random_circle_layers(rng: random.Random, max_layers: int = 3) -> CircleLayer
 
 
 def random_gem(rng: random.Random, vertex_count: int) -> Gem:
-    """A random connected gem: each color class is a random perfect matching."""
-    if vertex_count % 2:
-        raise ValueError("gem vertex count must be even")
+    """A random connected gem: each color class is a random perfect matching.
+    Raises ValueError unless ``vertex_count`` is even and at least 2."""
+    if vertex_count < 2 or vertex_count % 2:
+        raise ValueError(f"gem vertex count must be even and >= 2, got {vertex_count}")
     while True:
         edges = []
         for color in range(1, 5):
@@ -137,7 +137,7 @@ def random_gem(rng: random.Random, vertex_count: int) -> Gem:
             )
         try:
             return Gem.from_edges(edges)
-        except Exception:
+        except GemError:
             continue  # disconnected draw; resample
 
 
@@ -302,12 +302,13 @@ def _suite_circle(seed: int) -> list[dict]:
         rho = circle_holonomy(cl)
         if circle_holonomy(cl, reverse=True) != rho.inverse():
             bad.append(k)
-        twice = sweep(cl)
-        state = twice
-        for _pos, layer, _k in cl.sweep_order:
-            state = state.cross(layer)
-        double = Permutation(tuple(list(state.colors) + [state.free]))
-        if double != rho.compose(rho):
+        # two laps: each layer's points again, shifted by C, on a circle of 2C
+        c = cl.circumference
+        doubled = CircleLayers(
+            circumference=2 * c,
+            layers=tuple(points + tuple(p + c for p in points) for points in cl.layers),
+        )
+        if circle_holonomy(doubled) != rho.compose(rho):
             bad.append(k)
     props.append(
         _prop("reverse sweep inverts; double sweep squares", not bad, bad)

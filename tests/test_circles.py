@@ -6,7 +6,6 @@ import pytest
 
 from colorplex import (
     CircleLayers,
-    LayerState,
     Permutation,
     brute_force_circle_colorable,
     circle_colorable,
@@ -14,7 +13,6 @@ from colorplex import (
     circle_intersections,
     circle_layers_to_text,
     parse_circle_layers,
-    sweep,
     verify_circle_coloring,
 )
 from colorplex.circles import _meeting_pairs
@@ -69,15 +67,6 @@ def test_position_outside_circumference():
         CircleLayers(F(4), ((F(0), F(5)),))
 
 
-def test_state_cross_is_an_involution():
-    state = LayerState.initial(3)
-    rng = random.Random(0)
-    for _ in range(20):
-        layer = rng.randint(1, 3)
-        assert state.cross(layer).cross(layer) == state
-        state = state.cross(layer)
-
-
 def test_single_layer_parity_law():
     swap = Permutation.transposition(2, 1, 2)
     for m in range(3, 13):
@@ -117,12 +106,11 @@ def test_double_sweep_squares_the_permutation():
     rng = random.Random(8)
     for _ in range(15):
         cl = random_circle_layers(rng)
+        c = cl.circumference
+        # the same layers run twice: every point again at p + C on a 2C circle
+        doubled = CircleLayers(2 * c, tuple(ps + tuple(p + c for p in ps) for ps in cl.layers))
         rho = circle_holonomy(cl)
-        state = sweep(cl)
-        for _pos, layer, _k in cl.sweep_order:
-            state = state.cross(layer)
-        double = Permutation(tuple(list(state.colors) + [state.free]))
-        assert double == rho.compose(rho)
+        assert circle_holonomy(doubled) == rho.compose(rho)
 
 
 def test_brute_force_budget():

@@ -104,9 +104,9 @@ PACKAGE_EXPORTS = {
         "example_names", "rp2_6", "simplex_boundary", "torus7",
     ],
     "circles": [
-        "Arc", "CircleLayers", "LayerState", "brute_force_circle_colorable", "circle_colorable",
+        "CircleLayers", "brute_force_circle_colorable", "circle_colorable",
         "circle_holonomy", "circle_intersections", "circle_layers_to_text",
-        "parse_circle_layers", "sweep", "verify_circle_coloring",
+        "parse_circle_layers", "verify_circle_coloring",
     ],
     "errors": ["BudgetError", "FormatError"],
     "gamma": [
@@ -537,8 +537,18 @@ def test_gamma_subcommand(tmp_path):
         (dict(GAMMA_ARC_PAIR, j=1.5), "j must be an integer, got 1.5"),
         (dict(GAMMA_ARC_PAIR, regions=[{"id": "a"}]), "missing key 'layer'"),
         (dict(GAMMA_ARC_PAIR, intersections=[7]), "'int' object is not subscriptable"),
+        (
+            dict(GAMMA_ARC_PAIR, intersections=[
+                *GAMMA_ARC_PAIR["intersections"][:2], {"regions": "ab", "dim": 0},
+            ]),
+            "regions must be an array, got 'ab'",
+        ),
+        (dict(GAMMA_ARC_PAIR, regions={"a": 1}), "regions must be an array, got {'a': 1}"),
     ],
-    ids=["missing-key", "non-integer-n", "fractional-j", "region-without-layer", "wrong-type"],
+    ids=[
+        "missing-key", "non-integer-n", "fractional-j", "region-without-layer", "wrong-type",
+        "string-meeting-regions", "object-regions",
+    ],
 )
 def test_malformed_gamma_file_exits_2(capsys, tmp_path, payload, message):
     path = tmp_path / "data.json"

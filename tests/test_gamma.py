@@ -14,6 +14,7 @@ from colorplex import (
     intersection_data_from_json,
 )
 from colorplex import oracles
+from colorplex.errors import FormatError
 from colorplex.oracles import random_circle_layers
 
 INTERLEAVED = CircleLayers(F(4), ((F(0), F(2)), (F(1), F(3))))
@@ -180,6 +181,24 @@ def test_json_round_trip():
     data = intersection_data_from_json(_json_instance())
     assert intersection_data_from_json(data.to_json()) == data
     assert gamma_complex(data).census() == {0: 4, 1: 6, 2: 4}
+
+
+@pytest.mark.parametrize("value", ["ab", {"a": 0, "b": 1}, None])
+def test_json_regions_of_an_intersection_must_be_an_array(value):
+    # a string would otherwise be read as its characters: "ab" as {a, b}
+    obj = _json_instance()
+    for x in obj["intersections"]:
+        if x["regions"] == ["a", "b"]:
+            x["regions"] = value
+    with pytest.raises(FormatError, match="regions must be an array"):
+        intersection_data_from_json(obj)
+
+
+@pytest.mark.parametrize("value", ["ab", {"a": 1}])
+def test_json_region_list_must_be_an_array(value):
+    obj = dict(_json_instance(), regions=value)
+    with pytest.raises(FormatError, match="regions must be an array"):
+        intersection_data_from_json(obj)
 
 
 def test_json_missing_singleton_rejected():

@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colorplex
 from colorplex import (
     Gem,
     GemError,
@@ -113,6 +117,31 @@ def test_bicolored_subgraphs_are_2_regular_and_even():
             edges_ab = sum(1 for _u, _v, c in gem.edges if c in (a, b))
             assert sum(lengths) == edges_ab
         assert report.ecpx
+
+
+@pytest.mark.parametrize("count", [0, -2, 3])
+def test_random_gem_refuses_a_count_with_no_gem(count):
+    # in a child process with a timeout, so that a retry loop that never
+    # ends fails the test instead of hanging the run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(colorplex.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import random; from colorplex.oracles import random_gem; "
+        f"random_gem(random.Random(0), {count})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert f"ValueError: gem vertex count must be even and >= 2, got {count}" in proc.stderr
+
+
+def test_random_gem_on_two_vertices_is_the_minimal_gem():
+    assert random_gem(random.Random(0), 2) == MINIMAL
 
 
 def test_color_classes_are_perfect_matchings():
