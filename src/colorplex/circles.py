@@ -202,8 +202,10 @@ def circle_holonomy(cl: CircleLayers, *, reverse: bool = False) -> Permutation:
 def _crossings(cl: CircleLayers):
     """Walk the boundary points in sweep order, keeping the id of the arc
     underfoot in each layer.  At each point p yield (p's layer, the id of the
-    arc that ends at p, the id of the arc that starts at p, the sorted ids of
-    p's stab)."""
+    arc that ends at p, the id of the arc that starts at p, the ids underfoot
+    just past p, one per layer).  p's stab is the ended id and the ids
+    underfoot.  The underfoot list is live: the walk updates it in place at
+    the next crossing, so a caller that keeps a stab copies it before then."""
     ids = [[_arc_id(li, k) for k in range(len(points))]
            for li, points in enumerate(cl.layers, start=1)]
     # at 0+ a layer stands on its arc starting at 0, else on its wrapping arc
@@ -211,7 +213,7 @@ def _crossings(cl: CircleLayers):
     for _pos, layer, k in cl.sweep_order:
         ended, entered = ids[layer - 1][k - 1], ids[layer - 1][k]
         underfoot[layer - 1] = entered
-        yield layer, ended, entered, tuple(sorted([ended, *underfoot]))
+        yield layer, ended, entered, underfoot
 
 
 def circle_colorable(cl: CircleLayers) -> dict[str, int] | None:
@@ -219,7 +221,7 @@ def circle_colorable(cl: CircleLayers) -> dict[str, int] | None:
     itself (exactly when the holonomy is not the identity)."""
     coloring: dict[str, int] = {}
     lap = list(range(1, cl.j + 2))  # as in circle_holonomy
-    for layer, ended, entered, _stab in _crossings(cl):
+    for layer, ended, entered, _underfoot in _crossings(cl):
         # an arc keeps its layer's color until the sweep leaves it, so the
         # first arc a layer leaves (the one underfoot at 0+) gets its start color
         coloring.setdefault(ended, lap[layer - 1])
@@ -234,8 +236,8 @@ def _meeting_pairs(cl: CircleLayers) -> set[tuple[str, str]]:
     """Id pairs of the arcs whose closures meet: the pairs of each stab."""
     return {
         pair
-        for _layer, _ended, _entered, stab in _crossings(cl)
-        for pair in itertools.combinations(stab, 2)
+        for _layer, ended, _entered, underfoot in _crossings(cl)
+        for pair in itertools.combinations(sorted([ended, *underfoot]), 2)
     }
 
 
@@ -261,7 +263,8 @@ def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
     holds it and whose entered arc is in it.
     """
     tagged: dict[tuple[str, ...], int] = {}
-    for _layer, ended, entered, stab in _crossings(cl):
+    for _layer, ended, entered, underfoot in _crossings(cl):
+        stab = tuple(sorted([ended, *underfoot]))
         for size in range(1, len(stab) + 1):
             for q in itertools.combinations(stab, size):
                 tagged[q] = 0 if ended in q and entered in q else 1

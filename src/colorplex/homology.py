@@ -7,10 +7,28 @@ each row is pivoted on its +-1 entry in the column with the fewest rows.
 The small remainder without unit entries is reduced in the same sparse rows,
 always pivoting on an entry of least absolute value, which keeps the
 intermediate coefficients small.
+
+The boundary matrices are reduced top down, from the top dimension n to 1,
+and the unit pivots of each one clear rows from the next ("clearing", or the
+twist: Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress: computing
+persistent homology in chunks", 2014).  The rows of the k-boundary matrix
+are the k-faces and its columns the (k-1)-faces.  Each pivot row of the
+unit sweep of the (k+1)-boundary is an integer combination of its rows, the
+boundary of a (k+1)-chain, so it is a k-cycle z with +-1 at its pivot
+k-face and 0 at every earlier pivot face (each pivot clears its column from
+all rows still in play).  Replacing the rows of the pivot faces by the
+combinations z1, z2, ... of rows is then a unitriangular, so unimodular,
+row operation, and each new row is the boundary of a cycle, which is 0.  So
+the k-boundary matrix without those rows has the same invariant factors,
+not only the same rank.  This holds over the integers because the pivots
+are +-1, and only for the unit sweep: the smallest-pivot remainder also
+uses column operations, so its pivots are not cleared.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -109,7 +127,9 @@ def _normalise_divisibility(diagonal: list[int]) -> list[int]:
     return [1] * ones + d
 
 
-def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
+def smith_invariant_factors(
+    rows: list[dict[int, int]], pivots: list[int] | None = None
+) -> list[int]:
     """Invariant factors of a sparse integer matrix (rows of {col: value}).
 
     Unit pivots are eliminated sparsely in sweeps over the rows: each row
@@ -119,6 +139,11 @@ def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     pivot costs O(row length), not a scan of the whole matrix.  Whatever
     remains (no unit entries) is reduced in the same sparse rows by
     :func:`_smallest_pivot_diagonal`.  The input rows are not modified.
+
+    ``pivots`` is an output: when a list is passed, the column of each pivot
+    of the unit sweep is appended to it, in pivot order (the remainder's
+    pivots are not).  :func:`homology` clears those columns' faces from the
+    next boundary matrix down; the factors do not depend on it.
     """
     row_data, col_index = _sparse(rows)
 
@@ -142,6 +167,8 @@ def smith_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
             if pc is None:
                 continue
             _clear_column(row_data, col_index, pr, pc)
+            if pivots is not None:
+                pivots.append(pc)
             for c in pivot_row:
                 col_index[c].discard(pr)
                 if not col_index[c]:
@@ -177,7 +204,7 @@ class HomologyProfile:
 
 
 def _boundary_rows(
-    k_faces: tuple[tuple[int, ...], ...], lower_index: dict[tuple[int, ...], int]
+    k_faces: Iterable[tuple[int, ...]], lower_index: dict[tuple[int, ...], int]
 ) -> list[dict[int, int]]:
     rows = []
     for face in k_faces:
@@ -192,6 +219,11 @@ def _boundary_rows(
 def homology(t: Triangulation) -> HomologyProfile:
     """Homology groups H_0..H_n from boundary matrices in Smith normal form.
 
+    The boundary maps are factored from C_n -> C_{n-1} down to C_1 -> C_0.
+    The k-faces that were unit-pivot columns of the (k+1)-boundary are left
+    out of the k-boundary's rows, which keeps its invariant factors (see the
+    module docstring); the cleared faces go one dimension down, no further.
+
     Invariant: b_k = len(faces_k) - rank_k - rank_{k+1}, and the ranks cancel
     in the alternating sum, so that sum is the Euler characteristic whatever
     ranks the eliminations return; comparing the two would test nothing.
@@ -201,10 +233,13 @@ def homology(t: Triangulation) -> HomologyProfile:
 
     # factors[k] = invariant factors of the boundary map C_k -> C_{k-1}
     factors: list[list[int]] = [[] for _ in range(n + 2)]
-    for k in range(1, n + 1):
+    cleared: set[int] = set()
+    for k in range(n, 0, -1):
         lower_index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
-        rows = _boundary_rows(faces_by_dim[k], lower_index)
-        factors[k] = smith_invariant_factors(rows)
+        kept = [f for i, f in enumerate(faces_by_dim[k]) if i not in cleared]
+        pivots: list[int] = []
+        factors[k] = smith_invariant_factors(_boundary_rows(kept, lower_index), pivots)
+        cleared = set(pivots)
 
     betti = []
     torsion = []

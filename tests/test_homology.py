@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -19,7 +20,14 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
-from colorplex.homology import _normalise_divisibility, _smallest_pivot_diagonal, _sparse
+from colorplex.homology import (
+    HomologyProfile,
+    _boundary_rows,
+    _normalise_divisibility,
+    _smallest_pivot_diagonal,
+    _sparse,
+)
+from colorplex.triangulation import Triangulation
 
 
 def _dense(rows):
@@ -151,6 +159,29 @@ def test_snf_dense_remainder_after_unit_elimination(monkeypatch):
     assert remainders == [{2: {2: 2, 3: 4}, 3: {2: 6, 3: 8}}]
 
 
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_snf_pivots_output_names_distinct_unit_columns(matrix):
+    rows = _dense(matrix)
+    before = [dict(row) for row in rows]
+    pivots = []
+    factors = smith_invariant_factors(rows, pivots)
+    assert factors == smith_invariant_factors(rows)
+    assert rows == before
+    assert len(set(pivots)) == len(pivots)
+    assert set(pivots) <= {c for row in rows for c in row}
+    assert len(pivots) <= factors.count(1)
+
+
+def test_snf_pivots_output_leaves_out_the_remainder():
+    # as in test_snf_dense_remainder_after_unit_elimination: the unit sweep
+    # pivots in columns 0 and 1, the remainder [[2, 4], [6, 8]] in 2 and 3
+    pivots = []
+    matrix = [[1, 1, 0, 0], [0, -1, 0, 0], [2, 0, 2, 4], [0, 3, 6, 8]]
+    assert smith_invariant_factors(_dense(matrix), pivots) == [1, 1, 2, 4]
+    assert sorted(pivots) == [0, 1]
+
+
 def test_normalise_sets_units_aside():
     assert _normalise_divisibility([1] * 5000 + [6, 10, 15]) == [1] * 5001 + [30, 30]
 
@@ -257,3 +288,82 @@ def test_subdivision_preserves_invariants():
         assert euler_characteristic(sub) == euler_characteristic(t)
         assert orientability(sub) == orientability(t)
         assert homology(sub) == homology(t)
+
+
+def _reference_homology(t):
+    """Homology from every full boundary matrix, bottom up, with no row
+    cleared: the reference for the top-down reduction in ``homology``."""
+    faces = t.faces
+    n = t.dimension
+    factors = [[] for _ in range(n + 2)]
+    for k in range(1, n + 1):
+        lower_index = {f: i for i, f in enumerate(faces[k - 1])}
+        factors[k] = smith_invariant_factors(_boundary_rows(faces[k], lower_index))
+    return HomologyProfile(
+        betti=tuple(len(faces[k]) - len(factors[k]) - len(factors[k + 1]) for k in range(n + 1)),
+        torsion=tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(n + 1)),
+    )
+
+
+def _suspension(t):
+    """The suspension: every simplex coned to each of two new vertices."""
+    a = max(t.vertices) + 1
+    return Triangulation.from_simplices(
+        t.dimension + 1, [s + (v,) for s in t.simplices for v in (a, a + 1)]
+    )
+
+
+def _thickened(t):
+    """Each simplex coned to a vertex of its own.  Each new simplex
+    collapses onto its base through its free faces, so the homology is
+    that of t, one dimension down from the top."""
+    a = max(t.vertices) + 1
+    return Triangulation.from_simplices(
+        t.dimension + 1, [s + (a + i,) for i, s in enumerate(t.simplices)]
+    )
+
+
+@st.composite
+def _pure_complexes(draw):
+    """Pure complexes of dimension 1-4 on at most 8 vertices: any set of
+    top simplices, so boundary facets and facets in three or more simplices
+    occur, and, when two pieces fit, half the draws add a second piece on
+    vertices of its own."""
+    dimension = draw(st.sampled_from([1, 2, 3, 4]))
+    vertices = draw(st.integers(dimension + 1, 8))
+    cut = vertices
+    if vertices >= 2 * (dimension + 1) and draw(st.booleans()):
+        cut = draw(st.integers(dimension + 1, vertices - dimension - 1))
+    simplices = []
+    for piece in (range(cut), range(cut, vertices)):
+        if len(piece) > dimension:
+            simplices += draw(st.lists(
+                st.sampled_from(list(itertools.combinations(piece, dimension + 1))),
+                min_size=1, max_size=16, unique=True,
+            ))
+    return Triangulation.from_simplices(dimension, simplices)
+
+
+# The random draws never reach torsion.  The suspension and the double
+# suspension of RP2 carry Z/2 in H2 and H3, and RP2 and its suspension
+# thickened carry it in H1 and H2; in the thickened complexes the factor 2
+# sits in a matrix whose rows the one above has cleared.
+@settings(max_examples=300, deadline=None)
+@given(_pure_complexes())
+@example(_suspension(rp2_6()))
+@example(_suspension(_suspension(rp2_6())))
+@example(_thickened(rp2_6()))
+@example(_thickened(_suspension(rp2_6())))
+def test_homology_with_clearing_matches_full_boundary_matrices(t):
+    assert homology(t) == _reference_homology(t)
+
+
+def test_suspended_and_thickened_projective_planes_keep_their_torsion():
+    sigma = homology(_suspension(rp2_6()))
+    assert (sigma.betti, sigma.torsion) == ((1, 0, 0, 0), ((), (), (2,), ()))
+    sigma2 = homology(_suspension(_suspension(rp2_6())))
+    assert (sigma2.betti, sigma2.torsion) == ((1, 0, 0, 0, 0), ((), (), (), (2,), ()))
+    thick = homology(_thickened(rp2_6()))
+    assert (thick.betti, thick.torsion) == ((1, 0, 0, 0), ((), (2,), (), ()))
+    thick_sigma = homology(_thickened(_suspension(rp2_6())))
+    assert (thick_sigma.betti, thick_sigma.torsion) == ((1, 0, 0, 0, 0), ((), (), (2,), (), ()))
