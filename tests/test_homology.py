@@ -23,6 +23,7 @@ from colorplex.builders import circle, cross_polytope_boundary
 from colorplex.homology import (
     HomologyProfile,
     _boundary_rows,
+    _closed_top,
     _normalise_divisibility,
     _smallest_pivot_diagonal,
     _sparse,
@@ -344,18 +345,36 @@ def _pure_complexes(draw):
     return Triangulation.from_simplices(dimension, simplices)
 
 
+def _facet_ids(t):
+    return {f: i for i, f in enumerate(t.faces[t.dimension - 1])}
+
+
+def _theta_suspension():
+    """The suspension of the theta graph (two vertices joined by three
+    paths): each edge from a branch vertex to an apex lies in three
+    triangles, and every other edge in two."""
+    theta = Triangulation.from_simplices(1, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    return _suspension(theta)
+
+
 # The random draws never reach torsion.  The suspension and the double
 # suspension of RP2 carry Z/2 in H2 and H3, and RP2 and its suspension
 # thickened carry it in H1 and H2; in the thickened complexes the factor 2
-# sits in a matrix whose rows the one above has cleared.
+# sits in a matrix whose rows the one above has cleared.  The closed form
+# takes the top matrix exactly when every facet lies in two simplices: the
+# torus without one triangle has facets of degree 1, the suspended theta
+# graph of degree 3, and only some random draws are closed.
 @settings(max_examples=300, deadline=None)
 @given(_pure_complexes())
 @example(_suspension(rp2_6()))
 @example(_suspension(_suspension(rp2_6())))
 @example(_thickened(rp2_6()))
 @example(_thickened(_suspension(rp2_6())))
+@example(Triangulation.from_simplices(2, torus7().simplices[1:]))
+@example(_theta_suspension())
 def test_homology_with_clearing_matches_full_boundary_matrices(t):
     assert homology(t) == _reference_homology(t)
+    assert (_closed_top(t.simplices, _facet_ids(t)) is not None) == validate(t).closed
 
 
 def test_suspended_and_thickened_projective_planes_keep_their_torsion():
@@ -367,3 +386,104 @@ def test_suspended_and_thickened_projective_planes_keep_their_torsion():
     assert (thick.betti, thick.torsion) == ((1, 0, 0, 0), ((), (2,), (), ()))
     thick_sigma = homology(_thickened(_suspension(rp2_6())))
     assert (thick_sigma.betti, thick_sigma.torsion) == ((1, 0, 0, 0, 0), ((), (), (2,), (), ()))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form top matrix: closed pseudomanifolds, glued from pieces
+
+
+_CLOSED_PIECES = {
+    1: (lambda: simplex_boundary(1), lambda: cross_polytope_boundary(1), lambda: circle(5)),
+    2: (lambda: simplex_boundary(2), lambda: cross_polytope_boundary(2), torus7, rp2_6),
+    3: (
+        lambda: simplex_boundary(3),
+        lambda: cross_polytope_boundary(3),
+        lambda: _suspension(rp2_6()),
+    ),
+}
+
+
+def _glued(t, piece, at=None):
+    """t and piece on disjoint vertices or, when ``at`` is a vertex of t,
+    with piece's smallest vertex identified with it: a one-vertex wedge.
+    In dimension 2 and up no facet holds only that vertex, so every facet
+    keeps its two simplices."""
+    shift = max(t.vertices) + 1
+    relabel = {v: v + shift for v in piece.vertices}
+    if at is not None:
+        relabel[min(piece.vertices)] = at
+    moved = [tuple(relabel[v] for v in s) for s in piece.simplices]
+    return Triangulation.from_simplices(t.dimension, t.simplices + tuple(moved))
+
+
+@st.composite
+def _closed_pseudomanifolds(draw):
+    """Disjoint unions and one-vertex wedges of one to three closed pieces
+    of dimension 1-3, each subdivided once in half the draws: spheres, the
+    torus, RP2 and the suspension of RP2, whose top matrix carries a 2.
+    Circles are only put side by side: a wedge of circles puts a vertex,
+    which is their facet, in four edges."""
+    dimension = draw(st.sampled_from([1, 2, 3]))
+
+    def piece():
+        t = draw(st.sampled_from(_CLOSED_PIECES[dimension]))()
+        return _subdivided(t, 1) if draw(st.booleans()) else t
+
+    t = piece()
+    for _ in range(draw(st.integers(0, 2))):
+        at = None
+        if dimension > 1 and draw(st.booleans()):
+            at = draw(st.sampled_from(t.vertices))
+        t = _glued(t, piece(), at)
+    return t
+
+
+RP2_AND_RP2 = _glued(rp2_6(), rp2_6())
+RP2_AND_TORUS = _glued(rp2_6(), torus7())
+# two dual components, but one component of the 1-skeleton
+RP2_WEDGE_TORUS = _glued(rp2_6(), torus7(), at=0)
+
+
+def test_glued_projective_planes_and_tori():
+    assert homology(RP2_AND_RP2) == HomologyProfile((2, 0, 0), ((), (2, 2), ()))
+    assert homology(RP2_AND_TORUS) == HomologyProfile((2, 2, 1), ((), (2,), ()))
+    assert homology(RP2_WEDGE_TORUS) == HomologyProfile((1, 2, 1), ((), (2,), ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_pseudomanifolds())
+@example(RP2_AND_RP2)
+@example(RP2_AND_TORUS)
+@example(RP2_WEDGE_TORUS)
+def test_homology_of_closed_pseudomanifolds_matches_full_boundary_matrices(t):
+    assert validate(t).closed
+    assert homology(t) == _reference_homology(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_pseudomanifolds())
+@example(RP2_AND_RP2)
+@example(RP2_WEDGE_TORUS)
+def test_closed_top_factors_and_forest(t):
+    """The closed form equals the SNF of the full top matrix; the forest's
+    facets are distinct, one fewer than the simplices per dual component,
+    and leaving their rows out of the next matrix down keeps its factors."""
+    n = t.dimension
+    facet_ids = _facet_ids(t)
+    factors, tree = _closed_top(t.simplices, facet_ids)
+    assert factors == smith_invariant_factors(_boundary_rows(t.simplices, facet_ids))
+    assert len(set(tree)) == len(tree) == len(t.simplices) - t.facet_index.components
+    if n >= 2:
+        ridge_ids = {f: i for i, f in enumerate(t.faces[n - 2])}
+        cleared = set(tree)
+        kept = [f for i, f in enumerate(t.faces[n - 1]) if i not in cleared]
+        assert smith_invariant_factors(_boundary_rows(kept, ridge_ids)) == (
+            smith_invariant_factors(_boundary_rows(t.faces[n - 1], ridge_ids))
+        )
+
+
+def test_theta_suspension_has_facets_of_degree_three():
+    t = _theta_suspension()
+    assert dict(validate(t).bad_faces) == {(0, 5): 3, (0, 6): 3, (1, 5): 3, (1, 6): 3}
+    assert _closed_top(t.simplices, _facet_ids(t)) is None
+    assert homology(t) == HomologyProfile((1, 0, 2), ((), (), ()))
