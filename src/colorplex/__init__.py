@@ -47,7 +47,6 @@ _LAZY = {
         "circle",
         "cross_polytope_boundary",
         "example",
-        "example_names",
         "rp2_6",
         "simplex_boundary",
         "torus7",
@@ -58,7 +57,6 @@ _LAZY = {
         "circle_colorable",
         "circle_holonomy",
         "circle_intersections",
-        "circle_layers_to_text",
         "parse_circle_layers",
         "verify_circle_coloring",
     ),
@@ -76,7 +74,6 @@ _LAZY = {
         "bicolored_cycles",
         "export_dot",
         "gem_from_coloring",
-        "gem_from_dot_comments",
         "gem_report",
         "gem_to_text",
         "is_planar_multigraph",
@@ -85,8 +82,6 @@ _LAZY = {
     "holonomy": (
         "DefectGraphs",
         "HolonomyData",
-        "SimplexLabeling",
-        "base_labeling",
         "brute_force_colorable",
         "defect_free_four_coloring",
         "defect_graphs",
@@ -99,7 +94,7 @@ _LAZY = {
         "propagate",
         "verify_coloring",
     ),
-    "perms": ("Permutation", "compose", "cycle_type", "identity", "invert", "subgroup_closure"),
+    "perms": ("Permutation", "subgroup_closure"),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 

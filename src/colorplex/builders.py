@@ -85,10 +85,6 @@ def example(name: str, params: list[int] | tuple[int, ...] = ()) -> Triangulatio
     return fn(*params)
 
 
-def example_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
-
-
 def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, int]]:
     """Barycentric subdivision plus its dimension colouring.
 

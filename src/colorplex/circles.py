@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import BudgetError, FormatError
 from .gamma import LayeredIntersectionData
 from .holonomy import _least_proper_coloring
 from .perms import Permutation
+from .triangulation import FACE_BUDGET
 
 
 def _arc_id(layer: int, index: int) -> str:
@@ -175,17 +176,6 @@ def parse_circle_layers(text: str) -> CircleLayers:
     return CircleLayers(circumference=circumference, layers=tuple(layers))
 
 
-def _fmt_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def circle_layers_to_text(cl: CircleLayers) -> str:
-    lines = [f"circle {cl.j}", f"C={_fmt_rational(cl.circumference)}"]
-    for points in cl.layers:
-        lines.append("layer: " + " ".join(_fmt_rational(p) for p in points))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # the sweep
 
@@ -261,7 +251,18 @@ def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
     arcs of one layer share no interior, and dimension 1 otherwise, since no
     two layers share a position.  Its pieces are the crossings whose stab
     holds it and whose entered arc is in it.
+
+    A stab holds j + 1 arcs, so its subsets are the 2^(j+1) - 1 faces of a
+    j-simplex.  When the boundary points times that may exceed FACE_BUDGET,
+    BudgetError is raised before any subset is listed; j is checked against
+    the budget's bit length first, before the power is formed.
     """
+    points = cl.arc_count()  # one boundary point starts each arc
+    if cl.j >= FACE_BUDGET.bit_length() - 1 or points * ((1 << cl.j + 1) - 1) > FACE_BUDGET:
+        raise BudgetError(
+            f"{points} boundary points of {cl.j} layers may have up to {points} * "
+            f"(2^{cl.j + 1} - 1) intersections, over the face budget of {FACE_BUDGET}"
+        )
     tagged: dict[tuple[str, ...], int] = {}
     for _layer, ended, entered, underfoot in _crossings(cl):
         stab = tuple(sorted([ended, *underfoot]))

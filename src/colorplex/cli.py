@@ -216,7 +216,7 @@ def _run_triangulation_command(args):
 
         inv = holonomy_invariants(t)
         return {
-            "base_simplex": list(t.simplices[t.holonomy.base]),
+            "base_simplex": list(t.simplices[0]),
             "degree": inv["degree"],
             "generator_count": inv["generator_count"],
             "generators": [

@@ -88,16 +88,6 @@ class LayeredIntersectionData:
     def region_ids(self) -> tuple[str, ...]:
         return tuple(r for r, _layer in self.regions)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "j": self.j,
-            "regions": [{"id": r, "layer": layer} for r, layer in self.regions],
-            "intersections": [
-                {"regions": list(ids), "dim": dim} for ids, dim in self.intersections
-            ],
-        }
-
 
 def _integer(value, key: str) -> int:
     # a JSON integer; int() would also take true, 1.5 and "1"
@@ -176,9 +166,6 @@ class GammaComplex:
 
     def vertices(self) -> tuple[tuple[str, ...], ...]:
         return tuple(ids for ids, dim in self.cells if dim == 0)
-
-    def is_face(self, q, q_prime) -> bool:
-        return frozenset(q) >= frozenset(q_prime)
 
     def to_json(self) -> dict:
         return {

@@ -543,7 +543,7 @@ def export_dot(g: Gem) -> str:
 
     The canonical gem serialisation is embedded in leading '# ' comment
     lines (ignored by graphviz), so the original gem can be recovered from
-    the export alone.
+    the export alone: ``parse_gem`` reads those lines with the prefix cut.
     """
     lines = ["# " + line for line in gem_to_text(g).splitlines()]
     lines.append("graph gem {")
@@ -553,10 +553,3 @@ def export_dot(g: Gem) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def gem_from_dot_comments(dot_text: str) -> Gem:
-    """Recover a gem from the comment block of :func:`export_dot` output."""
-    payload = "\n".join(
-        line[2:] for line in dot_text.splitlines() if line.startswith("# ")
-    )
-    return parse_gem(payload)

@@ -7,9 +7,10 @@ vertex of the far simplex to take the one unused color.  Transporting a
 labeling around dual loops gives color permutations; the complex is
 (n+1)-colorable exactly when every loop acts trivially.
 
-:func:`hol_generators` transports plain color tuples, indexed by simplex id,
-in one breadth-first walk; :func:`propagate` carries one labeling by vertex,
-the reference for that walk and for explicit loops.
+Labelings are plain color tuples, ``colors[i]`` on a simplex's i-th smallest
+vertex.  :func:`hol_generators` transports them by position in one
+breadth-first walk; :func:`propagate` carries one across one dual edge by
+vertex, the reference for that walk and for explicit loops.
 """
 
 from __future__ import annotations
@@ -25,46 +26,28 @@ from .triangulation import Triangulation
 BRUTE_FORCE_VERTEX_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class SimplexLabeling:
-    """Rainbow color assignment on one simplex; ``colors[i]`` colors the
-    i-th smallest vertex."""
-
-    simplex: int
-    colors: tuple[int, ...]
-
-    def as_mapping(self, t: Triangulation) -> dict[int, int]:
-        return dict(zip(t.simplices[self.simplex], self.colors))
-
-
-def base_labeling(t: Triangulation, sid: int) -> SimplexLabeling:
-    """The canonical start labeling: i-th smallest vertex gets color i."""
-    return SimplexLabeling(sid, tuple(range(1, t.dimension + 2)))
-
-
 def propagate(
-    t: Triangulation, labeling: SimplexLabeling, target: int
-) -> SimplexLabeling:
-    """Carry a labeling across the dual edge into ``target``.
+    t: Triangulation, source: int, colors: tuple[int, ...], target: int
+) -> tuple[int, ...]:
+    """Carry the colors of simplex ``source`` across the dual edge into
+    ``target``; ``colors[i]`` colors the i-th smallest vertex, of ``source``
+    on the way in and of ``target`` on the way out.
 
     The shared facet keeps its colors; the vertex of ``target`` opposite the
     facet is forced to the color that the facet does not use.  Raises
     ValueError when the two simplices are not facet-adjacent.
     """
-    src = t.simplices[labeling.simplex]
+    src = t.simplices[source]
     dst = t.simplices[target]
     shared = set(src) & set(dst)
-    if target == labeling.simplex or len(shared) != t.dimension:
+    if target == source or len(shared) != t.dimension:
         raise ValueError(
             f"simplices {src} and {dst} do not share a facet"
         )
-    by_vertex = dict(zip(src, labeling.colors))
+    by_vertex = dict(zip(src, colors))
     (dropped,) = set(src) - shared
     forced = by_vertex[dropped]
-    return SimplexLabeling(
-        target,
-        tuple(by_vertex[v] if v in shared else forced for v in dst),
-    )
+    return tuple(by_vertex[v] if v in shared else forced for v in dst)
 
 
 def path_permutation(t: Triangulation, path) -> Permutation:
@@ -72,21 +55,19 @@ def path_permutation(t: Triangulation, path) -> Permutation:
 
     ``path`` lists simplex ids, starting and ending at the same simplex;
     repeated consecutive entries are allowed (and skipped) so loops can be
-    concatenated.  The result p satisfies p(start color of a vertex) = its
-    end color.
+    concatenated.  The walk starts with color i on the i-th smallest vertex,
+    so the result p satisfies p(start color of a vertex) = its end color.
     """
     path = list(path)
     if path[0] != path[-1]:
         raise ValueError("path is not a loop")
-    lab = base_labeling(t, path[0])
-    start = lab
+    cur = path[0]
+    colors = tuple(range(1, t.dimension + 2))
     for nxt in path[1:]:
-        if nxt != lab.simplex:
-            lab = propagate(t, lab, nxt)
-    images = [0] * (t.dimension + 1)
-    for c_start, c_end in zip(start.colors, lab.colors):
-        images[c_start - 1] = c_end
-    return Permutation(tuple(images))
+        if nxt != cur:
+            colors = propagate(t, cur, colors, nxt)
+            cur = nxt
+    return Permutation(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +78,15 @@ def path_permutation(t: Triangulation, path) -> Permutation:
 class HolonomyData:
     """Spanning-tree presentation of the dual-loop holonomy.
 
-    The base is the lexicographically least simplex; the tree comes from a
-    breadth-first search with lexicographic neighbor order.  ``colors[k]``
-    is the labeling carried along the tree to simplex k (``colors[k][i]``
-    colors its i-th smallest vertex; ``SimplexLabeling(k, colors[k])`` is
-    the same labeling as an object).  One generator loop per non-tree dual
-    edge (a, b), a < b, in (a, b) order: tree path to a, cross to b, tree
-    path back.  ``permutations[k]`` is the color permutation of generator k.
+    The base is simplex 0, the lexicographically least, with color i on its
+    i-th smallest vertex; the tree comes from a breadth-first search with
+    lexicographic neighbor order.  ``colors[k]`` is the labeling carried
+    along the tree to simplex k (``colors[k][i]`` colors its i-th smallest
+    vertex).  One generator loop per non-tree dual edge (a, b), a < b, in
+    (a, b) order: tree path to a, cross to b, tree path back.
+    ``permutations[k]`` is the color permutation of generator k.
     """
 
-    base: int
     parent: tuple[int, ...]  # parent simplex id, -1 at the base
     colors: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, int], ...]
@@ -143,9 +123,10 @@ def hol_generators(
 ) -> HolonomyData:
     """Tree-propagated colors plus one permutation per non-tree dual edge.
 
-    One breadth-first walk from simplex 0 labels each simplex it reaches
-    with the colors carried across the tree edge (by position, see
-    ``_transport``, with the same result as ``propagate``).  When the walk
+    One breadth-first walk from simplex 0, which has color i on its i-th
+    smallest vertex, labels each simplex it reaches with the colors carried
+    across the tree edge (by position, see ``_transport``, with the same
+    result as ``propagate``).  When the walk
     at ``a`` meets an already-labelled neighbour ``b > a`` that is not
     ``a``'s parent, (a, b) is a non-tree edge and its permutation is taken
     there: two simplices share at most one facet, so a labelled tree
@@ -163,7 +144,7 @@ def hol_generators(
     degree = t.dimension + 1
     parent = [-1] * len(adjacency)
     colors: list[tuple[int, ...] | None] = [None] * len(adjacency)
-    colors[0] = base_labeling(t, 0).colors
+    colors[0] = tuple(range(1, degree + 1))
     found = []
     distinct: dict[tuple[int, ...], Permutation] = {}
     queue = deque([0])
@@ -185,7 +166,6 @@ def hol_generators(
                 found.append(((cur, nb), perm))
     found.sort()
     return HolonomyData(
-        base=0,
         parent=tuple(parent),
         colors=tuple(colors),
         generators=tuple(ab for ab, _perm in found),
@@ -221,7 +201,7 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
 
     start = cur = cofaces[0]
     keep, drop = (k for k, v in enumerate(t.simplices[start]) if v not in inside)
-    colors = base_labeling(t, start).colors
+    colors = tuple(range(1, t.dimension + 2))
     steps = 0
     while True:
         crossing = [(b, j) for b, i, j in index.adjacency[cur] if i == drop]

@@ -35,7 +35,6 @@ from .perms import Permutation
 from .suites import SUITE_NAMES
 from .triangulation import (
     Triangulation,
-    euler_characteristic,
     face_census,
     is_even_cyclic,
     orientability,

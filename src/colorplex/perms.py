@@ -29,28 +29,6 @@ class Permutation:
         images[a - 1], images[b - 1] = b, a
         return cls(tuple(images))
 
-    @classmethod
-    def from_cycles(cls, degree: int, cycles) -> "Permutation":
-        images = list(range(1, degree + 1))
-        for cycle in cycles:
-            for x, y in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
-                images[x - 1] = y
-        return cls(tuple(images))
-
-    @classmethod
-    def from_cycle_string(cls, degree: int, text: str) -> "Permutation":
-        """Parse cycle notation like "(1 2)(3 4)"; the identity is "()"."""
-        text = text.strip()
-        if text == "()":
-            return cls.identity(degree)
-        cycles = []
-        for chunk in text.replace(")(", ")|(").split("|"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError(f"bad cycle notation {text!r}")
-            cycles.append(tuple(int(tok) for tok in chunk[1:-1].split()))
-        return cls.from_cycles(degree, cycles)
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -110,24 +88,6 @@ class Permutation:
         if not cycles:
             return "()"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
-
-
-# spec-level operation surface: free functions over Permutation values
-
-def identity(degree: int) -> Permutation:
-    return Permutation.identity(degree)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    return a.compose(b)
-
-
-def invert(a: Permutation) -> Permutation:
-    return a.inverse()
-
-
-def cycle_type(a: Permutation) -> tuple[int, ...]:
-    return a.cycle_type()
 
 
 def subgroup_closure(

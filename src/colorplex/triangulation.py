@@ -397,15 +397,6 @@ class DualGraph:
     node_count: int
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]  # (a, b, facet), a < b
 
-    def adjacency(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-        adj: dict[int, list[tuple[int, tuple[int, ...]]]] = {
-            i: [] for i in range(self.node_count)
-        }
-        for a, b, facet in self.edges:
-            adj[a].append((b, facet))
-            adj[b].append((a, facet))
-        return adj
-
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.node_count
         for a, b, _ in self.edges:

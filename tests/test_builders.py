@@ -5,7 +5,6 @@ from colorplex import (
     barycentric_subdivide,
     euler_characteristic,
     example,
-    example_names,
     face_census,
     validate,
     verify_coloring,
@@ -84,7 +83,6 @@ def test_example_dispatch():
         example("nope")
     with pytest.raises(ValueError, match="parameter"):
         example("torus7", [3])
-    assert "rp2_6" in example_names()
 
 
 def test_subdivision_of_tetrahedron_boundary():

@@ -11,10 +11,10 @@ from colorplex import (
     circle_colorable,
     circle_holonomy,
     circle_intersections,
-    circle_layers_to_text,
     parse_circle_layers,
     verify_circle_coloring,
 )
+from colorplex import circles
 from colorplex.circles import _meeting_pairs
 from colorplex.errors import BudgetError, FormatError
 from colorplex.oracles import random_circle_layers
@@ -22,6 +22,13 @@ from colorplex.oracles import random_circle_layers
 
 def _single(m):
     return CircleLayers(F(m), (tuple(F(i) for i in range(m)),))
+
+
+def _layers_text(cl):
+    """The circle-layers file of ``cl``, its rationals written as ``a/b``."""
+    lines = [f"circle {cl.j}", f"C={cl.circumference}"]
+    lines += ["layer: " + " ".join(map(str, points)) for points in cl.layers]
+    return "\n".join(lines) + "\n"
 
 
 INTERLEAVED = CircleLayers(F(4), ((F(0), F(2)), (F(1), F(3))))
@@ -59,7 +66,7 @@ def test_parse_rationals_and_round_trip():
     text = "circle 2\nC=9/2\nlayer: 0 2\nlayer: 1/2 3/2\n"
     cl = parse_circle_layers(text)
     assert cl.circumference == F(9, 2)
-    assert parse_circle_layers(circle_layers_to_text(cl)) == cl
+    assert parse_circle_layers(_layers_text(cl)) == cl
 
 
 def test_position_outside_circumference():
@@ -190,3 +197,23 @@ def test_intersections_and_meeting_pairs_match_sampled_coverage():
         record, pairs = _sampled_intersections(cl)
         assert dict(circle_intersections(cl).intersections) == record, cl
         assert set(map(frozenset, _meeting_pairs(cl))) == pairs, cl
+
+
+def _two_point_layers(j):
+    """j layers of two points each on a circle of circumference 2j: layer
+    i + 1 has the points i and i + j."""
+    return CircleLayers(F(2 * j), tuple((F(i), F(i + j)) for i in range(j)))
+
+
+def test_intersections_over_the_face_budget_raise_before_the_walk(monkeypatch):
+    # each of the 2j points has a stab of j + 1 arcs with 2^(j+1) - 1 subsets;
+    # 36 * (2^18 - 1) is within the face budget, 38 * (2^19 - 1) is over it
+    def walk(cl):
+        raise LookupError("walked")
+
+    monkeypatch.setattr(circles, "_crossings", walk)
+    with pytest.raises(LookupError, match="walked"):
+        circle_intersections(_two_point_layers(17))
+    for j in (18, 20, 64):
+        with pytest.raises(BudgetError, match="face budget"):
+            circle_intersections(_two_point_layers(j))

@@ -1,22 +1,15 @@
+import ast
 import itertools
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import colorplex
-from colorplex import (
-    circle_layers_to_text,
-    cli,
-    gem_to_text,
-    holonomy,
-    parse_circle_layers,
-    parse_gem,
-    parse_triangulation,
-    triangulation_to_text,
-)
+from colorplex import cli, holonomy, parse_triangulation
 
 TETRA = "dim 2\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 OPEN_DISK = "dim 2\n0 1 2\n0 1 3\n0 2 3\n"
@@ -96,17 +89,17 @@ def test_gamma_leaves_gems_and_oracles_unloaded(tmp_path):
     assert loaded.isdisjoint({"gems", "oracles"})
 
 
-# every name the package exported when it imported its submodules eagerly,
-# by defining module; the module names themselves were exported too
+# every name the package exports, by defining module; the module names
+# themselves are exported too
 PACKAGE_EXPORTS = {
     "builders": [
-        "barycentric_subdivide", "circle", "cross_polytope_boundary", "example",
-        "example_names", "rp2_6", "simplex_boundary", "torus7",
+        "barycentric_subdivide", "circle", "cross_polytope_boundary", "example", "rp2_6",
+        "simplex_boundary", "torus7",
     ],
     "circles": [
         "CircleLayers", "brute_force_circle_colorable", "circle_colorable",
-        "circle_holonomy", "circle_intersections", "circle_layers_to_text",
-        "parse_circle_layers", "verify_circle_coloring",
+        "circle_holonomy", "circle_intersections", "parse_circle_layers",
+        "verify_circle_coloring",
     ],
     "errors": ["BudgetError", "FormatError"],
     "gamma": [
@@ -115,17 +108,16 @@ PACKAGE_EXPORTS = {
     ],
     "gems": [
         "Gem", "GemError", "GemReport", "bicolored_cycles", "export_dot", "gem_from_coloring",
-        "gem_from_dot_comments", "gem_report", "gem_to_text", "is_planar_multigraph",
-        "parse_gem",
+        "gem_report", "gem_to_text", "is_planar_multigraph", "parse_gem",
     ],
     "holonomy": [
-        "DefectGraphs", "HolonomyData", "SimplexLabeling", "base_labeling",
-        "brute_force_colorable", "defect_free_four_coloring", "defect_graphs",
-        "hol_generators", "holonomy_invariants", "is_colorable", "is_locally_colorable",
-        "link_loop_permutation", "path_permutation", "propagate", "verify_coloring",
+        "DefectGraphs", "HolonomyData", "brute_force_colorable", "defect_free_four_coloring",
+        "defect_graphs", "hol_generators", "holonomy_invariants", "is_colorable",
+        "is_locally_colorable", "link_loop_permutation", "path_permutation", "propagate",
+        "verify_coloring",
     ],
     "homology": ["HomologyProfile", "homology", "smith_invariant_factors"],
-    "perms": ["Permutation", "compose", "cycle_type", "identity", "invert", "subgroup_closure"],
+    "perms": ["Permutation", "subgroup_closure"],
     "triangulation": [
         "DualGraph", "FaceCensus", "Triangulation", "ValidationReport", "dual_graph",
         "euler_characteristic", "face_census", "is_even_cyclic", "orientability",
@@ -181,6 +173,40 @@ def test_lazy_package_keeps_every_export():
     assert report["has_unknown"] is False
     # after every lazy name was touched, then after importing the submodule
     assert report["homology_is_function"] == [True, True]
+
+
+# Public definitions that no package module uses yet, each with its reason
+SURFACE_UNUSED = {
+    "dual_graph",  # a layer the benchmark traces
+    # the reference transport, kept for re-checking a holonomy witness loop
+    "path_permutation",
+    "HolonomyData.generator_loop",
+}
+
+
+def test_every_public_definition_is_used_by_the_package():
+    """A public function, class or method whose name no package module uses
+    in code (a Name or an attribute; strings, docstrings and imports do not
+    count) is test-only code in the library, unless listed above."""
+    defined, used = set(), set()
+    for path in sorted(pathlib.Path(colorplex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [("", tree.body)]
+        while bodies:
+            owner, body = bodies.pop()
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if not node.name.startswith("_"):
+                        defined.add(owner + node.name)
+                    if isinstance(node, ast.ClassDef):
+                        bodies.append((owner + node.name + ".", node.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {name for name in defined if name.rpartition(".")[2] not in used}
+    assert unused == SURFACE_UNUSED
 
 
 def test_gem_report_runs_without_networkx(tmp_path):
@@ -351,6 +377,19 @@ def test_example_over_budget_exits_1_before_it_is_built(example, message):
     code, doc = run_budgeted("subdivide", "--example", example)
     assert code == 1
     assert message in doc["diagnostics"][0]
+
+
+def test_circle_gamma_over_budget_exits_1(tmp_path):
+    # 20 two-point layers: every one of the 40 stabs holds 21 arcs, whose
+    # 2^21 - 1 subsets the intersection record would list
+    path = tmp_path / "layers20.circle"
+    path.write_text("circle 20\nC=40\n" + "".join(f"layer: {i} {i + 20}\n" for i in range(20)))
+    code, doc = run_budgeted("circle", "gamma", str(path))
+    assert code == 1
+    assert "budget" in doc["diagnostics"][0]
+    code, doc = run_budgeted("circle", "holonomy", str(path))  # linear in the points
+    assert code == 0
+    assert doc["result"]["cycle_type"] == [21]
 
 
 def test_unknown_subcommand_exits_2():
@@ -609,11 +648,3 @@ def test_reports_are_byte_deterministic(tmp_path):
         assert code1 == code2
         assert out1 == out2
 
-
-def test_round_trip_all_three_formats(tmp_path):
-    t = parse_triangulation(TETRA)
-    assert parse_triangulation(triangulation_to_text(t)) == t
-    cl = parse_circle_layers(TWO_LAYERS)
-    assert parse_circle_layers(circle_layers_to_text(cl)) == cl
-    gem = parse_gem(MINIMAL_GEM)
-    assert parse_gem(gem_to_text(gem)) == gem

@@ -17,7 +17,6 @@ from colorplex import (
     export_dot,
     face_census,
     gem_from_coloring,
-    gem_from_dot_comments,
     gem_report,
     gem_to_text,
     is_planar_multigraph,
@@ -192,7 +191,9 @@ def test_export_dot_structure_and_round_trip():
     assert dot.count("--") == 32
     for color_name in ("red", "green", "blue", "black"):
         assert dot.count(color_name) == 8
-    assert gem_from_dot_comments(dot) == gem
+    # the leading "# " lines carry the gem file, so the gem reads back from them
+    comments = [line[2:] for line in dot.splitlines() if line.startswith("# ")]
+    assert parse_gem("\n".join(comments)) == gem
     assert export_dot(gem) == dot  # deterministic
 
 

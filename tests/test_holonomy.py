@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from colorplex import (
     Permutation,
-    SimplexLabeling,
     barycentric_subdivide,
-    base_labeling,
     brute_force_colorable,
     defect_free_four_coloring,
     dual_graph,
@@ -37,12 +35,21 @@ from colorplex.builders import (
 )
 from colorplex.errors import BudgetError
 from colorplex.holonomy import DefectGraphs
-from colorplex.perms import compose, subgroup_closure
+from colorplex.perms import subgroup_closure
 from colorplex.triangulation import Triangulation
 
 
 def _sid(t, verts):
     return t.simplices.index(tuple(sorted(verts)))
+
+
+def _dual_neighbours(t):
+    """Each simplex's facet-adjacent simplices, from ``dual_graph`` edges."""
+    neighbours = [[] for _ in t.simplices]
+    for a, b, _facet in dual_graph(t).edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return neighbours
 
 
 # ---------------------------------------------------------------------------
@@ -51,49 +58,43 @@ def _sid(t, verts):
 
 def test_propagate_forces_the_missing_color():
     t = simplex_boundary(2)  # simplices on vertices 0..3
-    lab = SimplexLabeling(_sid(t, (0, 1, 2)), (1, 2, 3))
-    out = propagate(t, lab, _sid(t, (0, 1, 3)))
+    out = propagate(t, _sid(t, (0, 1, 2)), (1, 2, 3), _sid(t, (0, 1, 3)))
     # facet {0,1} keeps colors 1,2; vertex 3 is forced to 3
-    assert out.as_mapping(t) == {0: 1, 1: 2, 3: 3}
+    assert out == (1, 2, 3)  # on vertices 0, 1, 3
 
 
 def test_propagate_loop_transposes_two_colors():
     # hand propagation: (012)->(013)->(023)->(012) swaps the colors of
     # vertices 1 and 2
     t = simplex_boundary(2)
-    lab = SimplexLabeling(_sid(t, (0, 1, 2)), (1, 2, 3))
-    lab = propagate(t, lab, _sid(t, (0, 1, 3)))
-    assert lab.as_mapping(t) == {0: 1, 1: 2, 3: 3}
-    lab = propagate(t, lab, _sid(t, (0, 2, 3)))
-    assert lab.as_mapping(t) == {0: 1, 2: 2, 3: 3}
-    lab = propagate(t, lab, _sid(t, (0, 1, 2)))
-    assert lab.as_mapping(t) == {0: 1, 1: 3, 2: 2}
+    colors = (1, 2, 3)
+    loop = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2)]
+    expected = [{0: 1, 1: 2, 3: 3}, {0: 1, 2: 2, 3: 3}, {0: 1, 1: 3, 2: 2}]
+    for here, there, by_vertex in zip(loop, loop[1:], expected):
+        colors = propagate(t, _sid(t, here), colors, _sid(t, there))
+        assert dict(zip(there, colors)) == by_vertex
 
 
 def test_propagate_is_an_involution():
     rng = random.Random(3)
     t = cross_polytope_boundary(3)
-    from colorplex.triangulation import dual_graph
-
-    adjacency = dual_graph(t).adjacency()
+    neighbours = _dual_neighbours(t)
     for _ in range(30):
         sid = rng.randrange(len(t.simplices))
         colors = list(range(1, 5))
         rng.shuffle(colors)
-        lab = SimplexLabeling(sid, tuple(colors))
-        nb, _facet = rng.choice(adjacency[sid])
-        there = propagate(t, lab, nb)
-        back = propagate(t, there, sid)
-        assert back == lab
+        colors = tuple(colors)
+        nb = rng.choice(neighbours[sid])
+        there = propagate(t, sid, colors, nb)
+        assert propagate(t, nb, there, sid) == colors
 
 
 def test_propagate_rejects_non_adjacent_target():
     t = cross_polytope_boundary(2)
-    lab = base_labeling(t, 0)
     # opposite simplex shares no facet with simplex 0
     opposite = _sid(t, tuple(v ^ 1 for v in t.simplices[0]))
     with pytest.raises(ValueError, match="facet"):
-        propagate(t, lab, opposite)
+        propagate(t, 0, (1, 2, 3), opposite)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_concatenated_loops_compose():
         for a in range(len(loops)):
             for b in range(len(loops)):
                 joined = loops[a] + loops[b]
-                expected = compose(hol.permutations[a], hol.permutations[b])
+                expected = hol.permutations[a].compose(hol.permutations[b])
                 assert path_permutation(t, joined) == expected
 
 
@@ -475,33 +476,31 @@ def test_link_loop_rejects_a_pinched_face():
 def _propagated_holonomy(t, reverse_neighbors):
     """hol_generators rebuilt from the reference ``propagate``: the same
     breadth-first tree over the dual graph, one generator per non-tree edge."""
-    dg = dual_graph(t)
-    adjacency = dg.adjacency()
-    for sid in adjacency:
-        adjacency[sid].sort(key=lambda nb: t.simplices[nb[0]], reverse=reverse_neighbors)
+    neighbours = _dual_neighbours(t)
+    for nbs in neighbours:
+        nbs.sort(key=lambda nb: t.simplices[nb], reverse=reverse_neighbors)
     parent = [-1] * len(t.simplices)
-    labelings = [None] * len(t.simplices)  # labelings[k].simplex == k
-    labelings[0] = base_labeling(t, 0)
+    colors = [None] * len(t.simplices)
+    colors[0] = tuple(range(1, t.dimension + 2))
     queue = deque([0])
     while queue:
         cur = queue.popleft()
-        for nb, _facet in adjacency[cur]:
-            if labelings[nb] is None:
+        for nb in neighbours[cur]:
+            if colors[nb] is None:
                 parent[nb] = cur
-                labelings[nb] = propagate(t, labelings[cur], nb)
+                colors[nb] = propagate(t, cur, colors[cur], nb)
                 queue.append(nb)
     generators, permutations = [], []
-    for a, b, _facet in dg.edges:
+    for a, b, _facet in dual_graph(t).edges:
         if parent[a] == b or parent[b] == a:
             continue
-        crossed = propagate(t, labelings[a], b)
+        crossed = propagate(t, a, colors[a], b)
         images = [0] * (t.dimension + 1)
-        for c_tree, c_cross in zip(labelings[b].colors, crossed.colors):
+        for c_tree, c_cross in zip(colors[b], crossed):
             images[c_tree - 1] = c_cross
         generators.append((a, b))
         permutations.append(Permutation(tuple(images)))
-    colors = tuple(lab.colors for lab in labelings)
-    return tuple(parent), colors, tuple(generators), tuple(permutations)
+    return tuple(parent), tuple(colors), tuple(generators), tuple(permutations)
 
 
 def _examples_and_subdivisions():
