@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import BudgetError
 from .triangulation import FACE_BUDGET, Triangulation, _check_face_budget
@@ -107,9 +108,19 @@ def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, in
     face_id = {f: i for i, f in enumerate(faces)}
     coloring = {i: len(f) for i, f in enumerate(faces)}
 
+    # The sub-faces of a simplex, listed size by size in combinations order,
+    # each at the slot its bitmask of positions names; a chain reads the slots
+    # of the growing prefix masks of one permutation of positions.
+    positions, sizes = range(n + 1), range(1, n + 2)
+    subsets = (c for size in sizes for c in itertools.combinations(positions, size))
+    slot = {sum(1 << p for p in c): k for k, c in enumerate(subsets)}
+    prefixes = [
+        operator.itemgetter(*(slot[m] for m in itertools.accumulate(1 << p for p in order)))
+        for order in itertools.permutations(positions)
+    ]
     chains: list[tuple[int, ...]] = []
     for s in t.simplices:
-        for order in itertools.permutations(s):
-            chain = tuple(face_id[tuple(sorted(order[: k + 1]))] for k in range(n + 1))
-            chains.append(chain)
+        sub_faces = (f for size in sizes for f in itertools.combinations(s, size))
+        ids = list(map(face_id.__getitem__, sub_faces))
+        chains.extend(prefix(ids) for prefix in prefixes)
     return Triangulation.from_simplices(n, chains), coloring

@@ -133,6 +133,14 @@ def hol_generators(
     neighbour can only be the parent, and each non-tree edge is met once
     from its smaller end.  The generators are listed in (a, b) order.
 
+    A step depends only on the colors carried and the dropped positions
+    (i, j), so each distinct step is computed once per call and its result
+    interned by value: the walk makes at most (n+1)! * (n+1)^2 distinct
+    steps, and the returned ``colors`` share at most (n+1)! tuple objects.
+    Each pair of tree and crossed colors likewise builds its permutation
+    once, and equal permutations are one object, which keeps the readers'
+    dictionaries keyed by permutation off the field-by-field comparison.
+
     ``reverse_neighbors`` flips the visiting order, producing a different
     spanning tree; when all generators are trivial the resulting colors
     must not depend on this choice.
@@ -146,23 +154,35 @@ def hol_generators(
     colors: list[tuple[int, ...] | None] = [None] * len(adjacency)
     colors[0] = tuple(range(1, degree + 1))
     found = []
-    distinct: dict[tuple[int, ...], Permutation] = {}
+    steps: dict[tuple[tuple[int, ...], int, int], tuple[int, ...]] = {}
+    interned = {colors[0]: colors[0]}
+    generated: dict[tuple[tuple[int, ...], tuple[int, ...]], Permutation] = {}
+    distinct: dict[Permutation, Permutation] = {}
     queue = deque([0])
     while queue:
         cur = queue.popleft()
         for nb, i, j in reversed(adjacency[cur]) if reverse_neighbors else adjacency[cur]:
-            if colors[nb] is None:
+            tree = colors[nb] is None
+            if not tree and (nb < cur or nb == parent[cur]):
+                continue
+            key = (colors[cur], i, j)
+            moved = steps.get(key)
+            if moved is None:
+                moved = _transport(*key)
+                moved = steps[key] = interned.setdefault(moved, moved)
+            if tree:
                 parent[nb] = cur
-                colors[nb] = _transport(colors[cur], i, j)
+                colors[nb] = moved
                 queue.append(nb)
-            elif cur < nb and nb != parent[cur]:
-                images = [0] * degree
-                for c_tree, c_cross in zip(colors[nb], _transport(colors[cur], i, j)):
-                    images[c_tree - 1] = c_cross
-                key = tuple(images)
-                perm = distinct.get(key)
+            else:
+                pair = (colors[nb], moved)
+                perm = generated.get(pair)
                 if perm is None:
-                    perm = distinct[key] = Permutation(key)
+                    images = [0] * degree
+                    for c_tree, c_cross in zip(*pair):
+                        images[c_tree - 1] = c_cross
+                    perm = Permutation(tuple(images))
+                    perm = generated[pair] = distinct.setdefault(perm, perm)
                 found.append(((cur, nb), perm))
     found.sort()
     return HolonomyData(

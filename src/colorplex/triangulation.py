@@ -7,23 +7,27 @@ dual edges at the shared facets, dual 2-cells at the codimension-2 faces) is
 read off two indexes, each built on first use and then held by the
 triangulation as a cached property.  The face lattice ``Triangulation.faces``
 lists the faces of each dimension 0..n in sorted order, a face's position
-being its face id; the census, the Euler characteristic, homology and
-barycentric subdivision read it.  It can be exponential in n, so it is built
-only within ``FACE_BUDGET`` faces.  The facet index
-``Triangulation.facet_index`` is the dual graph: its edges with their facets,
-each simplex's dual edges by dropped-vertex position, the facets not shared
-by exactly two simplices, and every vertex's star, and from one walk of it
-the component count and the verdicts on bipartiteness and orientability.
-Validation, the dual graph, both verdicts, the holonomy and the gem encoding
-read it; the facet table it is built from is dropped.
+being its face id; the Euler characteristic, homology and barycentric
+subdivision read it.  It can be exponential in n, so it is built only within
+``FACE_BUDGET`` faces.  The facet index ``Triangulation.facet_index`` is the
+dual graph: its edges with their facets, each simplex's dual edges by
+dropped-vertex position, the facets not shared by exactly two simplices, and
+every vertex's star, and from one walk of it the component count and the
+verdicts on bipartiteness and orientability.  Validation, the dual graph,
+both verdicts, the holonomy and the gem encoding read it; the facet table it
+is built from is dropped.
 
-The face census and the default-tree holonomy data are held the same way, so
-everything derived from a triangulation is built at most once per object and
-lives exactly as long as it.  ``dual_graph`` holds nothing: it wraps the
-index's edges; nor does ``homology``, which no caller computes twice for one
-triangulation.  Everything here is immutable and every function is pure, so
-concurrent use on shared inputs is safe; two threads that read a property
-first at the same time may both build it, with equal results.
+The face census counts faces under the same budget without building the
+lattice: the faces below codimension 2 as sets, the codim-2 faces with their
+degrees in one count, and the facets as the facet index's dual edges plus its
+bad faces.  The census and the default-tree holonomy data are held the same
+way as the indexes, so everything derived from a triangulation is built at
+most once per object and lives exactly as long as it.  ``dual_graph`` holds
+nothing: it wraps the index's edges; nor does ``homology``, which no caller
+computes twice for one triangulation.  Everything here is immutable and
+every function is pure, so concurrent use on shared inputs is safe; two
+threads that read a property first at the same time may both build it, with
+equal results.
 """
 
 from __future__ import annotations
@@ -329,7 +333,8 @@ def validate(t: Triangulation) -> ValidationReport:
 
 @dataclass(frozen=True)
 class FaceCensus:
-    """All faces by dimension plus the simplex-degree of every codim-2 face.
+    """The number of faces of each dimension 0..n, plus the simplex-degree of
+    every codim-2 face, in face order.
 
     The degree of an (n-2)-face is the number of top simplices containing it;
     it equals the side count of the dual 2-cell sitting at that face.
@@ -368,12 +373,20 @@ def _faces(t: Triangulation) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def _census(t: Triangulation) -> FaceCensus:
     n = t.dimension
-    faces = t.faces
+    _check_face_budget(n, len(t.simplices))
+    counts = [
+        len(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1)))))
+        for k in range(n - 2)
+    ]
     codim2 = ()
     if n >= 2:
         degree = Counter(chain.from_iterable(map(combinations, t.simplices, repeat(n - 1))))
-        codim2 = tuple((f, degree[f]) for f in faces[n - 2])
-    return FaceCensus(counts=tuple(map(len, faces)), codim2_degrees=codim2)
+        codim2 = tuple(sorted(degree.items()))
+        counts.append(len(degree))
+    # every facet is either shared by two simplices (a dual edge) or bad
+    index = t.facet_index
+    counts += [len(index.edges) + len(index.bad_faces), len(t.simplices)]
+    return FaceCensus(counts=tuple(counts), codim2_degrees=codim2)
 
 
 def face_census(t: Triangulation) -> FaceCensus:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import time
 from collections import deque
@@ -573,6 +574,15 @@ def test_holonomy_image_does_not_depend_on_the_tree():
         )
     # the generators' cycle types are the tree's, as the docstring says
     assert types_differ > 0
+
+
+def test_hol_generators_intern_labelings_and_permutations():
+    rng = random.Random(5)
+    bases = [torus7(), cross_polytope_boundary(3), simplex_boundary(4)]
+    for t in bases + [_stellar_moves(b, rng, 2) for b in bases]:
+        hol = hol_generators(t)
+        assert len({id(c) for c in hol.colors}) <= math.factorial(t.dimension + 1)
+        assert len({id(p) for p in hol.permutations}) == len(set(hol.permutations))
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ def test_serialise_round_trip():
     assert parse_triangulation(triangulation_to_text(t)) == t
 
 
+OPEN_DISK = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]  # three facets of degree 1
+BRANCHING = [(1, 2, 3), (1, 2, 4), (1, 2, 5)]  # the facet (1, 2) of degree 3
+TWO_SPHERES = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+               (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)]
+
+
 def test_validate_sphere_passes():
     report = validate(parse_triangulation(TETRA_TEXT))
     assert report.passed
@@ -127,7 +133,7 @@ def test_validate_sphere_passes():
 def test_validate_open_disk_fails():
     # delete one triangle from the tetrahedron boundary: three edges of
     # degree 1 remain
-    t = Triangulation.from_simplices(2, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    t = Triangulation.from_simplices(2, OPEN_DISK)
     report = validate(t)
     assert not report.passed
     assert not report.closed
@@ -136,7 +142,7 @@ def test_validate_open_disk_fails():
 
 
 def test_validate_lists_a_branching_facet():
-    t = Triangulation.from_simplices(2, [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+    t = Triangulation.from_simplices(2, BRANCHING)
     report = validate(t)
     assert not report.closed
     assert report.bad_faces == (
@@ -151,9 +157,7 @@ def test_validate_lists_a_branching_facet():
 
 
 def test_validate_disjoint_union_fails():
-    spheres = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
-               (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)]
-    report = validate(Triangulation.from_simplices(2, spheres))
+    report = validate(Triangulation.from_simplices(2, TWO_SPHERES))
     assert report.closed
     assert not report.connected
     assert report.components == 2
@@ -186,6 +190,27 @@ def test_census_circle_has_no_codim2_faces():
     census = face_census(circle(5))
     assert census.counts == (5, 5)
     assert census.codim2_degrees == ()
+
+
+def test_census_matches_the_face_lattice_and_a_coface_count():
+    inputs = _examples_and_subdivisions() + [
+        Triangulation.from_simplices(2, simplices)
+        for simplices in (OPEN_DISK, BRANCHING, TWO_SPHERES)
+    ]
+    for t in inputs:
+        census = face_census(t)
+        assert census.counts == tuple(map(len, t.faces))
+        codim2 = t.faces[t.dimension - 2] if t.dimension >= 2 else ()
+        cofaces = tuple(
+            (f, sum(set(f) <= set(s) for s in t.simplices)) for f in codim2
+        )
+        assert census.codim2_degrees == cofaces
+
+
+def test_census_leaves_the_face_lattice_unbuilt():
+    t = cross_polytope_boundary(4)
+    assert face_census(t).counts == (10, 40, 80, 80, 32)
+    assert "faces" not in vars(t)
 
 
 def test_incidence_count_is_twice_facet_count():
@@ -322,6 +347,31 @@ def test_face_lattice_matches_a_set_enumeration():
             for k in range(t.dimension + 1)
         )
         assert t.faces == expected
+
+
+def _subdivision_by_sorted_prefixes(t):
+    """The maximal chains of faces, each read off one permutation of a
+    simplex's vertices by sorting its prefixes; face ids by (dimension,
+    face)."""
+    sub_faces = {
+        f for s in t.simplices for k in range(1, len(s) + 1) for f in itertools.combinations(s, k)
+    }
+    faces = sorted(sub_faces, key=lambda f: (len(f), f))
+    face_id = {f: i for i, f in enumerate(faces)}
+    chains = [
+        tuple(face_id[tuple(sorted(order[:k]))] for k in range(1, len(order) + 1))
+        for s in t.simplices
+        for order in itertools.permutations(s)
+    ]
+    return tuple(sorted(chains)), {i: len(f) for i, f in enumerate(faces)}
+
+
+def test_subdivision_chains_match_sorted_prefixes():
+    inputs = _examples_and_subdivisions() + [simplex_boundary(4), cross_polytope_boundary(4)]
+    assert {t.dimension for t in inputs} == {1, 2, 3, 4}
+    for t in inputs:
+        sub, coloring = barycentric_subdivide(t)
+        assert (sub.simplices, coloring) == _subdivision_by_sorted_prefixes(t)
 
 
 def _count_builds(monkeypatch, module, name):
