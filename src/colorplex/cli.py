@@ -372,10 +372,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "oracle" and args.colors is None and args.input not in (None, *SUITE_NAMES):
         parser.error(f"oracle: unknown suite {args.input!r}; choose from {', '.join(SUITE_NAMES)}")
+    subcommand = args.command
+    if args.command in ("circle", "gem"):  # named before the run, so that a failure names it too
+        subcommand += f" {args.action}"
     document = {
         "tool": "colorplex",
         "version": __version__,
-        "subcommand": args.command,
+        "subcommand": subcommand,
         "input": None,
         "result": None,
         "diagnostics": [],
@@ -387,12 +390,10 @@ def main(argv=None) -> int:
             result, source = _run_oracle(args)
         elif args.command == "circle":
             result, source = _run_circle(args)
-            document["subcommand"] = f"circle {args.action}"
         elif args.command == "gamma":
             result, source = _run_gamma(args)
         elif args.command == "gem":
             result, source = _run_gem(args)
-            document["subcommand"] = f"gem {args.action}"
         else:
             raise AssertionError(args.command)
     except FileNotFoundError as exc:

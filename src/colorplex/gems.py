@@ -3,21 +3,32 @@
 
 Vertices stand for the top cells, edges for shared facets, and the edge color
 is the one color missing around the facet.  Cycles alternating two colors
-trace the dual 2-cells; dropping one color leaves subgraphs that bound the
-regions of that color, so their component count recovers the region count and
-V - E + F - R recovers the Euler characteristic.
+trace the dual 2-cells; dropping one color leaves subgraphs (the residues of
+Ferri, Gagliardi and Grasselli, 1986) that bound the regions of that color, so
+their component count recovers the region count and V - E + F - R recovers
+the Euler characteristic.
 
-Whether each of those subgraphs (the residues) is planar is decided here by
-the left-right planarity test of Brandes, "The Left-Right Planarity Test"
-(2009), after de Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux trees
-and planarity" (IJFCS 2006).  Only the verdict is computed: no embedding is
-ever built.
+The analysis reads one table per gem, built on first use and kept on it as
+``Gem.mate_table``: the sorted vertices and, per color c, a flat list whose
+entry k is the position of the c-neighbour of vertex k.  A bicolored cycle
+is a walk along two of these lists; a residue's components and its simple
+adjacency lists come from three.
+
+Each residue's planarity is decided by ``_lr_planar``, the left-right test of
+Brandes, "The Left-Right Planarity Test" (2009), after de Fraysseix, Ossona
+de Mendez and Rosenstiehl, "Trémaux trees and planarity" (IJFCS 2006), on
+adjacency lists numbered 0..n-1.  Only the verdict is computed: no embedding
+is built.  ``is_planar_multigraph`` is the same test on any vertex and edge
+lists: it numbers the vertices and drops loops and parallel edges first.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import FormatError
 from .triangulation import Triangulation
@@ -42,7 +53,7 @@ class Gem:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        slots: dict[tuple[int, int], tuple[int, int, int]] = {}
+        slots: dict[tuple[int, int], int] = {}  # (vertex, color) -> the other end
         for u, v, c in self.edges:
             if u == v:
                 raise GemError(f"loop edge at vertex {u}")
@@ -50,31 +61,25 @@ class Gem:
                 raise GemError(f"edge {(u, v, c)} not normalised (u < v required)")
             if c not in COLOR_NAMES:
                 raise GemError(f"color {c} outside 1..4 on edge {(u, v)}")
-            for w in (u, v):
+            for w, other in ((u, v), (v, u)):
                 if (w, c) in slots:
                     raise GemError(f"repeated color {c} at vertex {w}")
-                slots[(w, c)] = (u, v, c)
-        degrees: dict[int, int] = {}
-        for u, v, _c in self.edges:
-            degrees[u] = degrees.get(u, 0) + 1
-            degrees[v] = degrees.get(v, 0) + 1
+                slots[(w, c)] = other
+        degrees = Counter(w for u, v, _c in self.edges for w in (u, v))
         for w, d in degrees.items():
             if d != 4:
                 raise GemError(f"vertex {w} has degree {d}, expected 4")
         if not degrees:
             raise GemError("empty gem")
-        adj: dict[int, set[int]] = {w: set() for w in degrees}
-        for u, v, _c in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = set()
         stack = [next(iter(degrees))]
+        seen = set(stack)
         while stack:
             cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(adj[cur] - seen)
+            for c in COLOR_NAMES:  # every vertex now has one edge of each color
+                nxt = slots[(cur, c)]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         if len(seen) != len(degrees):
             raise GemError(
                 f"gem is disconnected ({len(seen)} of {len(degrees)} vertices reachable)"
@@ -82,21 +87,42 @@ class Gem:
 
     @classmethod
     def from_edges(cls, edges) -> "Gem":
-        normalised = tuple(
-            sorted((min(u, v), max(u, v), c) for u, v, c in edges)
-        )
-        return cls(normalised)
+        return cls(tuple(sorted((min(u, v), max(u, v), c) for u, v, c in edges)))
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({w for u, v, _c in self.edges for w in (u, v)}))
+        return tuple(self.mate_table.vertices)
 
-    def _color_map(self) -> dict[tuple[int, int], int]:
-        m = {}
-        for u, v, c in self.edges:
-            m[(u, c)] = v
-            m[(v, c)] = u
-        return m
+    @cached_property
+    def mate_table(self) -> _MateTable:
+        """The sorted vertices and the per-color mate lists (see ``_MateTable``)."""
+        return _mate_table(self.edges)
+
+
+class _MateTable(NamedTuple):
+    """``mate[c][k]`` is the position in ``vertices`` of the c-neighbour of
+    ``vertices[k]``, for colors c in 1..4; ``mate[0]`` is empty.  Ids 0..V-1
+    are their own positions, and ``vertices`` is then ``range(V)``."""
+
+    vertices: tuple[int, ...] | range
+    mate: tuple[list[int], ...]
+
+
+def _mate_table(edges) -> _MateTable:
+    us, vs, cs = zip(*edges)
+    vertices = tuple(sorted(set(us).union(vs)))
+    n = len(vertices)
+    if vertices[0] == 0 and vertices[-1] == n - 1:
+        vertices = range(n)
+    else:
+        position = dict(zip(vertices, range(n))).__getitem__
+        us, vs = map(position, us), map(position, vs)
+    mate = ([], *([0] * n for _ in range(4)))
+    for a, b, c in zip(us, vs, cs):
+        row = mate[c]
+        row[a] = b
+        row[b] = a
+    return _MateTable(vertices, mate)
 
 
 def parse_gem(text: str) -> Gem:
@@ -148,89 +174,57 @@ def bicolored_cycles(g: Gem, a: int, b: int) -> tuple[int, ...]:
     a disjoint union of cycles, each alternating a and b and hence of even
     length; a parallel pair gives the minimal length 2.
     """
-    return _bicolored_cycles(g._color_map(), g.vertices, a, b)
+    mate = g.mate_table.mate
+    return _cycle_lengths(mate[a], mate[b])
 
 
-def _bicolored_cycles(step, vertices, a: int, b: int) -> tuple[int, ...]:
-    """:func:`bicolored_cycles` on a prebuilt color map and vertex tuple."""
+def _cycle_lengths(mate_a: list[int], mate_b: list[int]) -> tuple[int, ...]:
+    """:func:`bicolored_cycles` on two mate lists, one a-edge and b-edge per step."""
+    seen = bytearray(len(mate_a))
     lengths = []
-    visited: set[int] = set()
-    for start in vertices:
-        if start in visited:
+    for start in range(len(mate_a)):
+        if seen[start]:
             continue
-        cur = start
-        color = a
-        length = 0
+        cur, length = start, 0
         while True:
-            visited.add(cur)
-            cur = step[(cur, color)]
-            color = b if color == a else a
-            length += 1
-            if cur == start and color == a:
+            nxt = mate_a[cur]
+            seen[cur] = seen[nxt] = 1
+            length += 2
+            cur = mate_b[nxt]
+            if cur == start:
                 break
         lengths.append(length)
     return tuple(sorted(lengths))
 
 
-def _subgraph_components(g: Gem, colors) -> list[tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
-    """Connected components of the spanning subgraph on the given colors,
-    as (vertex tuple, edge tuple) pairs sorted by least vertex; each
-    component keeps its edges in the gem's edge order."""
-    colors = set(colors)
-    kept = [(u, v, c) for u, v, c in g.edges if c in colors]
-    adj: dict[int, list[int]] = {w: [] for w in g.vertices}
-    for u, v, _c in kept:
-        adj[u].append(v)
-        adj[v].append(u)
-    component: dict[int, int] = {}
-    members: list[tuple[int, ...]] = []
-    for start in adj:
-        if start in component:
+def _residues(mate_a: list[int], mate_b: list[int], mate_c: list[int]):
+    """The components of the subgraph on three colors, by least vertex, each
+    as simple adjacency lists on 0..m-1 (parallel edges dropped), read off
+    the three mate lists in one breadth-first search per component."""
+    local = [-1] * len(mate_a)
+    for start in range(len(mate_a)):
+        if local[start] >= 0:
             continue
-        cid = len(members)
-        component[start] = cid
-        stack = [start]
-        comp = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in component:
-                    component[nxt] = cid
-                    comp.append(nxt)
-                    stack.append(nxt)
-        members.append(tuple(sorted(comp)))
-    buckets: list[list[tuple[int, int, int]]] = [[] for _ in members]
-    for edge in kept:
-        buckets[component[edge[0]]].append(edge)
-    return [(verts, tuple(bucket)) for verts, bucket in zip(members, buckets)]
+        local[start] = 0
+        members = [start]
+        adj = []
+        for k in members:  # grows while it is read
+            for x in (mate_a[k], mate_b[k], mate_c[k]):
+                if local[x] < 0:
+                    local[x] = len(members)
+                    members.append(x)
+            p, q, r = local[mate_a[k]], local[mate_b[k]], local[mate_c[k]]
+            if p == q:
+                adj.append([p] if p == r else [p, r])
+            else:
+                adj.append([p, q] if r == p or r == q else [p, q, r])
+        yield adj
 
 
 def is_planar_multigraph(vertices, edges) -> bool:
     """Exact planarity of the graph on ``vertices`` with ``edges`` given as
-    (u, v, ...) tuples; loops and parallel edges never change the verdict
-    and are dropped.
-
-    The left-right planarity test (Brandes, "The Left-Right Planarity
-    Test", 2009; de Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux
-    trees and planarity", IJFCS 2006), reduced to its verdict:
-
-    1. number the vertices 0..V-1 and keep each simple edge once;
-    2. a graph with V > 2 and E > 3V - 6 is not planar (Euler);
-    3. a DFS orients every edge away from the root, tree edges down and back
-       edges up, and computes each edge's ``lowpt``, ``lowpt2`` and nesting
-       depth;
-    4. each vertex's out-edges are sorted by nesting depth;
-    5. a second DFS keeps a stack of conflict pairs of return-edge
-       intervals: ``add_constraints`` merges the intervals of each out-edge
-       after the first, and fails when a pair conflicts on both sides;
-       ``remove_back_edges`` drops the return edges that end at the parent,
-       trimming intervals along ``ref``.
-
-    The graph is planar iff step 5 never fails.  No embedding is built: the
-    ``side`` signs and the edge ordering of the full algorithm are skipped,
-    because only the verdict is read.  Both passes are iterative, so DFS
-    depth is not bounded by the recursion limit; per-edge data lives in flat
-    lists indexed by edge id.
-    """
+    (u, v, ...) tuples; loops and parallel edges never change the verdict,
+    so they are dropped before ``_lr_planar`` decides."""
     index: dict = {}
     for v in vertices:
         index.setdefault(v, len(index))
@@ -240,23 +234,44 @@ def is_planar_multigraph(vertices, edges) -> bool:
         b = index.setdefault(v, len(index))
         if a != b:
             pairs.add((a, b) if a < b else (b, a))
-    n = len(index)
-    if n > 2 and len(pairs) > 3 * n - 6:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(len(index))]
     for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
+    return _lr_planar(adj)
+
+
+def _lr_planar(adj: list[list[int]]) -> bool:
+    """Planarity of the simple graph with adjacency lists ``adj`` on
+    vertices 0..n-1 (no loops, each edge listed once at each end), by the
+    left-right test reduced to its verdict:
+
+    1. a graph with V > 2 and E > 3V - 6 is not planar (Euler);
+    2. a DFS orients every edge away from the root, tree edges down and back
+       edges up, and computes each edge's ``lowpt``, ``lowpt2`` and nesting
+       depth;
+    3. each vertex's out-edges are sorted by nesting depth;
+    4. a second DFS keeps a stack of conflict pairs of return-edge
+       intervals: ``add_constraints`` merges the intervals of each out-edge
+       after the first, and fails when a pair conflicts on both sides;
+       ``remove_back_edges`` drops the return edges that end at the parent,
+       trimming intervals along ``ref``.
+
+    The graph is planar iff step 4 never fails.  No embedding is built: the
+    ``side`` signs and the edge ordering of the full algorithm are skipped,
+    because only the verdict is read.  Both passes are iterative, so DFS
+    depth is not bounded by the recursion limit; per-edge data lives in flat
+    lists indexed by edge id.
+    """
+    n = len(adj)
+    if n > 2 and sum(map(len, adj)) > 2 * (3 * n - 6):
+        return False
 
     # orientation: edge ei runs src[ei] -> dst[ei]
     height = [-1] * n
     parent_edge = [-1] * n
     out: list[list[int]] = [[] for _ in range(n)]
-    src: list[int] = []
-    dst: list[int] = []
-    lowpt: list[int] = []
-    lowpt2: list[int] = []
-    depth: list[int] = []
+    src, dst, lowpt, lowpt2, depth = [], [], [], [], []  # indexed by edge id
     roots = []
 
     def finish(ei, v):
@@ -458,17 +473,11 @@ class GemReport:
     @property
     def ecpx(self) -> bool:
         """An invariant, always true: bicolored cycles alternate colors."""
-        return all(
-            length % 2 == 0
-            for _pair, lengths in self.cycle_lengths
-            for length in lengths
-        )
+        return all(length % 2 == 0 for _pair, lengths in self.cycle_lengths for length in lengths)
 
     @property
     def all_planar(self) -> bool:
-        return all(
-            all(flags) for _triple, _count, flags in self.triple_components
-        )
+        return all(all(flags) for _triple, _count, flags in self.triple_components)
 
     def to_json(self) -> dict:
         return {
@@ -490,25 +499,16 @@ class GemReport:
 
 
 def gem_report(g: Gem) -> GemReport:
-    """All six bicolored decompositions and all four 3-color analyses."""
-    step, vertices = g._color_map(), g.vertices
-    cycle_lengths = []
-    for a, b in itertools.combinations(range(1, 5), 2):
-        cycle_lengths.append(((a, b), _bicolored_cycles(step, vertices, a, b)))
-    del step  # free the map before the planarity passes, where memory peaks
+    """All six bicolored decompositions and all four 3-color analyses, read
+    off the gem's mate table."""
+    mate = g.mate_table.mate
+    pairs = itertools.combinations(range(1, 5), 2)
+    cycle_lengths = tuple(((a, b), _cycle_lengths(mate[a], mate[b])) for a, b in pairs)
     triple_components = []
-    for triple in itertools.combinations(range(1, 5), 3):
-        comps = _subgraph_components(g, triple)
-        flags = tuple(
-            is_planar_multigraph(verts, edges) for verts, edges in comps
-        )
-        triple_components.append((triple, len(comps), flags))
-    return GemReport(
-        vertex_count=len(vertices),
-        edge_count=len(g.edges),
-        cycle_lengths=tuple(cycle_lengths),
-        triple_components=tuple(triple_components),
-    )
+    for a, b, c in itertools.combinations(range(1, 5), 3):
+        flags = tuple(_lr_planar(adj) for adj in _residues(mate[a], mate[b], mate[c]))
+        triple_components.append(((a, b, c), len(flags), flags))
+    return GemReport(len(mate[1]), len(g.edges), cycle_lengths, tuple(triple_components))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from . import builders
 from .circles import (
@@ -22,7 +23,14 @@ from .circles import (
     verify_circle_coloring,
 )
 from .gamma import gamma_complex, gamma_coloring_transfer
-from .gems import Gem, GemError, bicolored_cycles, gem_from_coloring, gem_report
+from .gems import (
+    Gem,
+    GemError,
+    bicolored_cycles,
+    gem_from_coloring,
+    gem_report,
+    is_planar_multigraph,
+)
 from .holonomy import (
     brute_force_colorable,
     hol_generators,
@@ -415,17 +423,55 @@ def _suite_gem(seed: int) -> list[dict]:
         _prop("bicolored cycle lengths reproduce codim-2 degrees", not bad, bad)
     )
 
+    # counts and residues from the edge list alone, none from the mate table
     rng = random.Random(seed)
     bad = []
     for k in range(10):
-        g = random_gem(rng, rng.choice([4, 6, 8]))
+        g = random_gem(rng, rng.choice([4, 8, 12, 16, 24, 32]))
         r = gem_report(g)
-        if r.edge_count != 2 * r.vertex_count or not r.ecpx:
+        cycles = [(p, len(_edge_components(g, p))) for p in combinations(range(1, 5), 2)]
+        residues = [(t, _edge_components(g, t)) for t in combinations(range(1, 5), 3)]
+        f = sum(count for _pair, count in cycles)
+        rr = sum(len(comps) for _triple, comps in residues)
+        v = sum(len(vs) for vs, _es in residues[0][1])  # each vertex lies in one residue
+        if (
+            (r.vertex_count, r.edge_count) != (v, len(g.edges))
+            or [(pair, len(lengths)) for pair, lengths in r.cycle_lengths] != cycles
+            or (r.f_count, r.r_count) != (f, rr)
+            or r.euler != v - len(g.edges) + f - rr
+            or list(r.triple_components) != [
+                (triple, len(comps), tuple(is_planar_multigraph(vs, es) for vs, es in comps))
+                for triple, comps in residues
+            ]
+        ):
             bad.append(k)
     props.append(
-        _prop("random gems: E=2V and all bicolored cycles even", not bad, bad)
+        _prop("random gems: F, R, chi and residue planarity match a union-find", not bad, bad)
     )
     return props
+
+
+def _edge_components(g: Gem, colors) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+    """Components of the subgraph of ``g`` on ``colors`` by a union-find over
+    its edge list, as (vertices, edges) pairs sorted by least vertex."""
+    parent = {w: w for u, v, _c in g.edges for w in (u, v)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = [edge for edge in g.edges if edge[2] in colors]
+    for u, v, _c in kept:
+        ru, rv = find(u), find(v)
+        parent[max(ru, rv)] = min(ru, rv)  # each root is its component's least vertex
+    comps: dict[int, tuple[list, list]] = {}
+    for w in sorted(parent):
+        comps.setdefault(find(w), ([], []))[0].append(w)
+    for edge in kept:
+        comps[find(edge[0])][1].append(edge)
+    return [comps[root] for root in sorted(comps)]
 
 
 def run_suite(name: str, seed: int = 0) -> dict:

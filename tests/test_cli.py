@@ -268,6 +268,7 @@ def test_undecodable_file_exits_2(capsys, tmp_path, args):
     path.write_bytes(b"\xff\xfe\n")
     code, doc = run_in_process(capsys, *args, str(path))
     assert code == 2
+    assert doc["subcommand"] == " ".join(args)  # the action too, as on success
     assert doc["result"] is None
     assert doc["diagnostics"][0].startswith(f"cannot read {path}: 'utf-8' codec")
 
@@ -538,6 +539,7 @@ def test_circle_duplicate_position_is_domain_error(tmp_path):
     path.write_text("circle 2\nC=4\nlayer: 0 2\nlayer: 0 3\n")
     code, doc = run_json("circle", "holonomy", str(path))
     assert code == 1
+    assert doc["subcommand"] == "circle holonomy"
     assert "duplicate position" in doc["diagnostics"][0]
 
 
@@ -626,6 +628,7 @@ def test_gem_structural_fault_exits_1(tmp_path):
     path.write_text("gem 3\n0 1 1\n0 1 2\n0 1 3\n")
     code, doc = run_json("gem", "report", str(path))
     assert code == 1
+    assert doc["subcommand"] == "gem report"
     assert "degree" in doc["diagnostics"][0]
 
 

@@ -24,8 +24,8 @@ from colorplex import (
 )
 from colorplex.builders import cross_polytope_boundary, simplex_boundary
 from colorplex.errors import FormatError
-from colorplex.gems import _subgraph_components
 from colorplex.oracles import random_gem
+from gem_residues import subgraph_components
 from oracle_planarity import planar_oracle
 
 MINIMAL = Gem.from_edges([(0, 1, c) for c in (1, 2, 3, 4)])
@@ -204,9 +204,7 @@ def test_planarity_agrees_with_independent_oracle():
         gem = random_gem(rng, rng.choice([4, 6, 8, 10, 12]))
         report = gem_report(gem)
         for (triple, _count, flags) in report.triple_components:
-            from colorplex.gems import _subgraph_components
-
-            for (verts, edges), flag in zip(_subgraph_components(gem, triple), flags):
+            for (verts, edges), flag in zip(subgraph_components(gem, triple), flags):
                 if len(verts) > 12:
                     continue
                 checked += 1
@@ -254,10 +252,87 @@ def test_planarity_matches_networkx_on_random_multigraphs(graph):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 30))
 def test_planarity_matches_networkx_on_gem_residues(seed, half):
+    """The report's residue counts and flags, read off the mate table, and
+    the edge-list route agree with networkx's components and planarity."""
+    import networkx as nx
+
     gem = random_gem(random.Random(seed), 2 * half)
-    for triple in itertools.combinations(range(1, 5), 3):
-        for verts, edges in _subgraph_components(gem, triple):
-            assert is_planar_multigraph(verts, edges) == _networkx_planar(verts, edges)
+    report = gem_report(gem)
+    triples = list(itertools.combinations(range(1, 5), 3))
+    assert [triple for triple, _count, _flags in report.triple_components] == triples
+    for triple, count, flags in report.triple_components:
+        graph = nx.Graph()
+        graph.add_nodes_from(gem.vertices)
+        graph.add_edges_from((u, v) for u, v, c in gem.edges if c in triple)
+        comps = sorted(nx.connected_components(graph), key=min)
+        assert count == len(comps)
+        assert flags == tuple(nx.check_planarity(graph.subgraph(comp))[0] for comp in comps)
+        residues = subgraph_components(gem, triple)
+        assert [set(verts) for verts, _edges in residues] == comps
+        assert flags == tuple(is_planar_multigraph(verts, edges) for verts, edges in residues)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 30))
+def test_relabelling_with_gaps_keeps_the_report(seed, half):
+    """Ids 0..V-1 are their own positions in the mate table; order-preserving
+    relabellings with gaps (from 0, from 7, and one that keeps the largest
+    id at V - 1) must be mapped to positions, and change nothing reported."""
+    gem = random_gem(random.Random(seed), 2 * half)
+    for g in (gem, _cross_gem()[1]):
+        for relabel in (lambda v: 3 * v, lambda v: 3 * v + 7, lambda v: v or -1):
+            moved = Gem.from_edges((relabel(u), relabel(v), c) for u, v, c in g.edges)
+            assert moved.vertices == tuple(map(relabel, g.vertices))
+            assert gem_report(moved) == gem_report(g)
+            for a, b in itertools.combinations(range(1, 5), 2):
+                assert bicolored_cycles(moved, a, b) == bicolored_cycles(g, a, b)
+
+
+def test_the_mate_table_is_built_once_per_gem(monkeypatch):
+    from colorplex import gems
+
+    builds = []
+
+    def counted(edges):
+        builds.append(edges)
+        return build(edges)
+
+    build = gems._mate_table
+    monkeypatch.setattr(gems, "_mate_table", counted)
+    gem = random_gem(random.Random(5), 40)
+    assert "mate_table" not in vars(gem)  # validation does not build it
+    first = gem_report(gem)
+    assert "mate_table" in vars(gem)
+    table = vars(gem)["mate_table"]
+    assert gem_report(gem) == first
+    assert bicolored_cycles(gem, 1, 2) == first.cycle_lengths[0][1]
+    assert gem.vertices == tuple(range(40))
+    assert vars(gem)["mate_table"] is table
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # each edge is checked in order: loop, order, color, then its two slots
+        ([(3, 3, 9)], "loop edge at vertex 3"),
+        ([(2, 1, 9)], r"edge \(2, 1, 9\) not normalised \(u < v required\)"),
+        ([(0, 1, 9), (2, 2, 1)], r"color 9 outside 1..4 on edge \(0, 1\)"),
+        ([(0, 1, 1), (0, 2, 1), (1, 1, 2)], "repeated color 1 at vertex 0"),
+        ([(0, 2, 1), (1, 2, 1), (3, 3, 1)], "repeated color 1 at vertex 2"),
+        # then degrees, in order of first appearance in the edge list
+        ([(0, 5, 1), (0, 5, 2), (0, 5, 3), (0, 1, 4)], "vertex 5 has degree 3, expected 4"),
+        ([], "empty gem"),
+        (
+            [(u, u + 1, c) for u in (0, 2) for c in (1, 2, 3, 4)],
+            r"gem is disconnected \(2 of 4 vertices reachable\)",
+        ),
+    ],
+    ids=["loop", "order", "color", "slot-u", "slot-v", "degree", "empty", "disconnected"],
+)
+def test_gem_error_messages_and_their_precedence(edges, message):
+    with pytest.raises(GemError, match=f"^{message}$"):
+        Gem(tuple(edges))
 
 
 def _maximal_planar(rng, n):
