@@ -123,4 +123,6 @@ def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, in
         sub_faces = (f for size in sizes for f in itertools.combinations(s, size))
         ids = list(map(face_id.__getitem__, sub_faces))
         chains.extend(prefix(ids) for prefix in prefixes)
-    return Triangulation.from_simplices(n, chains), coloring
+    # the chains are distinct, of n+1 vertices, and ascending, since face ids
+    # are ordered by dimension: no ``from_simplices`` check is left to make
+    return Triangulation(n, tuple(sorted(chains))), coloring

@@ -26,17 +26,22 @@ not only the same rank.  This holds over the integers because the pivots
 are +-1, and only for the unit sweep: the smallest-pivot remainder also
 uses column operations, so its pivots are not cleared.
 
-The two end matrices need no elimination.  The 1-boundary is the incidence
-matrix of the 1-skeleton: every invariant factor is 1, and its rank is the
-vertex count minus the number of components, which a union-find over its
-rows counts (over the rows left after clearing, which have the same rank).
-When every (n-1)-face lies in exactly two simplices, as in a closed
-pseudomanifold, the n-boundary is the signed incidence matrix of the dual
-graph: its rows are the simplices (the nodes) and its columns the facets
-(the edges), each column with two entries +-1.  Per dual component, its
+The two end matrices need no elimination, and one routine serves both:
+``triangulation._signed_forest``, a union-find that grows a spanning forest
+of a graph whose edges flip bits, and reports per tree the bits in which
+some edge disagrees with the others (the balance test of a signed graph;
+the facet index reads its dual-graph verdicts off the same forest).  The
+1-boundary is the incidence matrix of the 1-skeleton: every invariant
+factor is 1, and its rank is the vertex count minus the number of
+components, which is the size of the forest over its rows, flipping no bit
+(over the rows left after clearing, which have the same rank).  When every
+(n-1)-face lies in exactly two simplices, as in a closed pseudomanifold,
+the n-boundary is the signed incidence matrix of the dual graph: its rows
+are the simplices (the nodes) and its columns the facets (the edges), each
+column with two entries +-1.  Per dual component, its
 invariant factors are all 1 (one fewer than the simplices) when the
 component is orientable, and all 1 plus one 2 when it is not (Zaslavsky,
-"Signed graphs", Discrete Appl. Math. 1982).  A signed union-find over the
+"Signed graphs", Discrete Appl. Math. 1982).  The signed forest over the
 dual edges, in simplex-id order, finds both: across a facet that simplices a
 and b drop at positions i and j, a coherent orientation flips sign exactly
 when i + j is even, and an edge inside one component that disagrees with
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _signed_forest
 
 
 def _sparse(
@@ -255,38 +260,18 @@ def _closed_top(
     facets of a dual spanning forest, when every facet lies in exactly two
     simplices; None, as soon as one facet has another degree.
 
-    ``facet_ids`` maps each facet to its column.  One signed union-find runs
-    over the simplices in id order: ``parity[x]`` is 1 when simplex x is
-    oriented against its parent.  The second simplex to meet a facet joins
-    the edge to the first; a join that merges two components makes its facet
-    a tree facet, and one whose parity disagrees within a component makes
-    that component non-orientable (see the module docstring).
+    ``facet_ids`` maps each facet to its column.  The simplices are paired
+    in id order: the second simplex to meet a facet makes it a dual edge to
+    the first, whose one bit flips when the two dropped positions sum to an
+    even number.  ``_signed_forest`` over those edges gives the tree facets
+    and the non-orientable components (see the module docstring).
     """
-    count = len(simplices)
     n = len(simplices[0]) - 1 if simplices else 0
-    parent = list(range(count))
-    parity = [0] * count
-    size = [1] * count
-    flipped = [False] * count  # per root: the component is non-orientable
-
-    def find(x: int) -> tuple[int, int]:
-        root, p = x, 0
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        q = p  # x's parity to the root; compress the path below it
-        while parent[x] != root:
-            up = parent[x]
-            q_up = q ^ parity[x]
-            parent[x], parity[x] = root, q
-            x, q = up, q_up
-        return root, p
-
     # per facet: -1 until a simplex meets it, then 2 * that simplex + the
     # parity of its position, and -2 once a second simplex has met it
     first: list[int] = [-1] * len(facet_ids)
-    tree: list[int] = []
-    pairs = 0
+    edges: list[tuple[int, int, int]] = []
+    columns: list[int] = []
     for b, s in enumerate(simplices):
         for j, facet in enumerate(reversed(tuple(combinations(s, n)))):
             c = facet_ids[facet]
@@ -297,45 +282,12 @@ def _closed_top(
             if seen == -2:
                 return None  # a third simplex on this facet
             first[c] = -2
-            pairs += 1
-            a = seen >> 1
-            flip = 1 ^ ((seen ^ j) & 1)  # 1 when the two positions sum to an even number
-            ra, pa = find(a)
-            rb, pb = find(b)
-            if ra == rb:
-                if pa ^ pb != flip:
-                    flipped[ra] = True
-                continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb], parity[rb] = ra, pa ^ pb ^ flip
-            size[ra] += size[rb]
-            flipped[ra] |= flipped[rb]
-            tree.append(c)
-    if pairs != len(facet_ids):
+            edges.append((seen >> 1, b, 1 ^ ((seen ^ j) & 1)))
+            columns.append(c)
+    if len(edges) != len(facet_ids):
         return None  # a facet in one simplex only
-    twos = sum(1 for x in range(count) if parent[x] == x and flipped[x])
-    return [1] * len(tree) + [2] * twos, tree
-
-
-def _graph_rank(edges: Iterable[tuple[int, ...]], vertex_ids: dict[tuple[int, ...], int]) -> int:
-    """The rank of the 1-boundary rows of ``edges``: the number of edges a
-    union-find joins, which is the vertex count minus the components."""
-    parent = list(range(len(vertex_ids)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rank = 0
-    for u, v in edges:
-        ru, rv = find(vertex_ids[(u,)]), find(vertex_ids[(v,)])
-        if ru != rv:
-            parent[rv] = ru
-            rank += 1
-    return rank
+    tree, odd = _signed_forest(len(simplices), edges)
+    return [1] * len(tree) + [2] * sum(map(bool, odd)), [columns[e] for e in tree]
 
 
 def homology(t: Triangulation) -> HomologyProfile:
@@ -348,14 +300,15 @@ def homology(t: Triangulation) -> HomologyProfile:
     module docstring); the cleared faces go one dimension down, no further.
 
     The ends are in closed form.  When every (n-1)-face has exactly two
-    cofaces, the n-boundary's factors come from a signed union-find over the
+    cofaces, the n-boundary's factors come from ``_signed_forest`` over the
     dual graph: per dual component, all 1 when it is orientable and all 1
     plus one 2 when it is not.  The facets of its spanning forest are the
     rows cleared from the (n-1)-boundary: the boundary of the signed simplices
     below a tree facet e in the forest is +-e plus non-tree facets, so e's
     row is a combination of the others.  Any other top matrix, and every
     matrix in the middle, goes through ``smith_invariant_factors``.  The
-    1-boundary's factors are all 1, as many as the edges a union-find joins.
+    1-boundary's factors are all 1, as many as the edges of the same forest
+    over the 1-skeleton.
 
     Invariant: b_k = len(faces_k) - rank_k - rank_{k+1}, and the ranks cancel
     in the alternating sum, so that sum is the Euler characteristic whatever
@@ -371,7 +324,10 @@ def homology(t: Triangulation) -> HomologyProfile:
         lower_index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
         kept = [f for i, f in enumerate(faces_by_dim[k]) if i not in cleared]
         if k == 1:
-            factors[1] = [1] * _graph_rank(kept, lower_index)
+            joined, _odd = _signed_forest(
+                len(lower_index), ((lower_index[(u,)], lower_index[(v,)], 0) for u, v in kept)
+            )
+            factors[1] = [1] * len(joined)
             continue
         closed = _closed_top(kept, lower_index) if k == n else None
         if closed is None:

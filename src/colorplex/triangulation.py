@@ -12,10 +12,11 @@ subdivision read it.  It can be exponential in n, so it is built only within
 ``FACE_BUDGET`` faces.  The facet index ``Triangulation.facet_index`` is the
 dual graph: its edges with their facets, each simplex's dual edges by
 dropped-vertex position, the facets not shared by exactly two simplices, and
-every vertex's star, and from one walk of it the component count and the
-verdicts on bipartiteness and orientability.  Validation, the dual graph,
-both verdicts, the holonomy and the gem encoding read it; the facet table it
-is built from is dropped.
+every vertex's star, and from one signed forest of it (``_signed_forest``,
+which homology's closed forms share) the component count and the verdicts
+on bipartiteness and orientability.  Validation, the dual graph, both
+verdicts, the holonomy and the gem encoding read it; the facet table it is
+built from is dropped.
 
 The face census counts faces under the same budget without building the
 lattice: the faces below codimension 2 as sets, the codim-2 faces with their
@@ -33,6 +34,7 @@ equal results.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -232,7 +234,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class _FacetIndex:
     """The dual graph and vertex stars of a triangulation, from one pass over
-    its facets, and what one walk of the dual graph decides.
+    its facets, and what a signed spanning forest of the dual graph decides.
 
     ``edges`` lists the dual edges as (a, b, shared facet), a < b, in
     ascending order.  ``adjacency[a]`` lists the dual edges at simplex a as
@@ -243,7 +245,8 @@ class _FacetIndex:
     ascending ids of the simplices containing it.  ``components`` counts the
     connected components of the dual graph; ``even_cyclic`` and
     ``orientable`` are the verdicts of ``is_even_cyclic`` and
-    ``orientability``, taken over every component.
+    ``orientability``, taken over every component: the balance of the
+    forest's two bits, the side and the orientation, in each tree.
     """
 
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -275,38 +278,70 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
     # for the dual-graph walks that read them.
     edges = sorted((p[0][0], p[1][0], f) for f, p in facets.items() if len(p) == 2)
     bad = sorted((f, len(p)) for f, p in facets.items() if len(p) != 2)
-    del facets  # before the walk, so that the index's peak memory does not rise
+    del facets  # before the forest, so that the index's peak memory does not rise
     adjacency = tuple(tuple(sorted(nbs)) for nbs in lists)
     del lists
 
-    # One depth-first walk over every component.  A simplex's side flips
-    # across every dual edge, and its orientation sign flips across a facet
-    # dropped at positions i and j exactly when i + j is even; a non-tree
-    # edge that disagrees with either label refutes that verdict.
-    side = [0] * len(adjacency)
-    sign = [0] * len(adjacency)  # 0 until the walk reaches the simplex
-    components = 0
-    even_cyclic = orientable = True
-    for start in range(len(adjacency)):
-        if sign[start]:
-            continue
-        components += 1
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nb, i, j in adjacency[cur]:
-                required = sign[cur] if (i + j) % 2 else -sign[cur]
-                if not sign[nb]:
-                    side[nb] = 1 - side[cur]
-                    sign[nb] = required
-                    stack.append(nb)
-                else:
-                    even_cyclic &= side[nb] != side[cur]
-                    orientable &= sign[nb] == required
-    return _FacetIndex(
-        tuple(edges), adjacency, tuple(bad), stars, components, even_cyclic, orientable
+    # Bit 1 of a dual edge's flip is the side, which every dual edge flips;
+    # bit 2 is the orientation sign, which flips across a facet dropped at
+    # positions i and j exactly when i + j is even.
+    signed = (
+        (a, b, 1 if (i + j) % 2 else 3)
+        for a, nbs in enumerate(adjacency) for b, i, j in nbs if a < b
     )
+    _tree, odd = _signed_forest(len(adjacency), signed)
+    even_cyclic = not any(bits & 1 for bits in odd)
+    orientable = not any(bits & 2 for bits in odd)
+    return _FacetIndex(
+        tuple(edges), adjacency, tuple(bad), stars, len(odd), even_cyclic, orientable
+    )
+
+
+def _signed_forest(
+    count: int, edges: Iterable[tuple[int, int, int]]
+) -> tuple[list[int], list[int]]:
+    """A spanning forest of a signed graph on the nodes 0..count-1, and the
+    bits in which each of its trees is unbalanced.
+
+    ``edges`` yields (a, b, flip) with flip a bit mask: in each bit, a
+    labelling of the nodes by 0 and 1 should differ across the edge when the
+    bit is set and agree when it is clear.  A union-find with path halving
+    (Tarjan and van Leeuwen, "Worst-case analysis of set union algorithms",
+    JACM 1984) keeps each node's labels relative to its parent in
+    ``parity``.  An edge inside one tree that disagrees with the labels in
+    some bits makes that tree unbalanced in them (Zaslavsky, "Signed
+    graphs", Discrete Appl. Math. 1982): no labelling of the component obeys
+    all its edges there.  Returns the positions in ``edges`` of the edges
+    that joined two trees, ascending, and per tree, in order of the trees'
+    roots, its unbalanced bits.
+    """
+    parent = list(range(count))
+    parity = [0] * count
+    odd = [0] * count  # per root: the bits in which its tree is unbalanced
+    tree = []
+    for position, (a, b, flip) in enumerate(edges):
+        # walk both ends to their roots, halving the paths, and fold the
+        # labels met on the way into flip
+        while parent[a] != a:
+            up = parent[a]
+            parity[a] ^= parity[up]
+            flip ^= parity[a]
+            parent[a] = parent[up]
+            a = parent[up]
+        while parent[b] != b:
+            up = parent[b]
+            parity[b] ^= parity[up]
+            flip ^= parity[b]
+            parent[b] = parent[up]
+            b = parent[up]
+        if a == b:
+            odd[a] |= flip
+        else:
+            parent[b] = a
+            parity[b] = flip
+            odd[a] |= odd[b]
+            tree.append(position)
+    return tree, [odd[x] for x in range(count) if parent[x] == x]
 
 
 def validate(t: Triangulation) -> ValidationReport:
@@ -424,21 +459,22 @@ def dual_graph(t: Triangulation) -> DualGraph:
 
 def is_even_cyclic(t: Triangulation) -> bool:
     """True iff every closed walk on the dual 1-skeleton has even length,
-    i.e. the dual graph is bipartite: the walk of the facet index flips a
-    simplex's side across every dual edge and finds no edge within a side."""
+    i.e. the dual graph is bipartite: the signed forest of the facet index
+    flips a simplex's side across every dual edge and finds no edge within a
+    side."""
     return t.facet_index.even_cyclic
 
 
 def orientability(t: Triangulation) -> bool:
     """Decide whether a coherent orientation of the top simplices exists.
 
-    The walk of the facet index propagates a sign per simplex over a dual
-    spanning tree; the complex is orientable iff every non-tree adjacency is
-    consistent.  The induced boundary orientation of the facet obtained by
-    dropping the vertex at sorted position i carries sign (-1)^i, and
-    coherence requires the two induced orientations of a shared facet to
-    cancel: across a facet dropped at positions i and j the sign flips exactly
-    when i + j is even.  A disconnected complex is orientable iff every
-    component is.
+    The signed forest of the facet index carries a sign per simplex over a
+    dual spanning forest; the complex is orientable iff every non-tree
+    adjacency is consistent.  The induced boundary orientation of the facet
+    obtained by dropping the vertex at sorted position i carries sign (-1)^i,
+    and coherence requires the two induced orientations of a shared facet to
+    cancel: across a facet dropped at positions i and j the sign flips
+    exactly when i + j is even.  A disconnected complex is orientable iff
+    every component is.
     """
     return t.facet_index.orientable

@@ -2,6 +2,7 @@ import pytest
 
 from colorplex import (
     BudgetError,
+    Triangulation,
     barycentric_subdivide,
     euler_characteristic,
     example,
@@ -101,6 +102,17 @@ def test_subdivision_numbers_faces_by_dimension_then_face():
     assert (1, 8, 11) in sub.simplices  # vertex 1 < edge 13 < triangle 013
     assert (3, 9, 13) in sub.simplices  # vertex 3 < edge 23 < triangle 123
     assert (0, 9, 13) not in sub.simplices  # vertex 0 is not in edge 23
+
+
+def test_subdivision_chains_pass_the_simplex_rules_unchanged():
+    # the subdivision skips from_simplices: its chains must already be
+    # sorted vertex tuples, distinct and listed in order
+    bases = [simplex_boundary(n) for n in (1, 2, 3)]
+    bases += [cross_polytope_boundary(n) for n in (1, 2, 3)]
+    bases += [circle(5), torus7(), rp2_6(), barycentric_subdivide(torus7())[0]]
+    for t in bases:
+        sub, _coloring = barycentric_subdivide(t)
+        assert sub == Triangulation.from_simplices(t.dimension, sub.simplices)
 
 
 def test_subdivision_of_circle_alternates():

@@ -28,7 +28,7 @@ from colorplex.homology import (
     _smallest_pivot_diagonal,
     _sparse,
 )
-from colorplex.triangulation import Triangulation
+from colorplex.triangulation import Triangulation, _signed_forest
 
 
 def _dense(rows):
@@ -487,3 +487,75 @@ def test_theta_suspension_has_facets_of_degree_three():
     assert dict(validate(t).bad_faces) == {(0, 5): 3, (0, 6): 3, (1, 5): 3, (1, 6): 3}
     assert _closed_top(t.simplices, _facet_ids(t)) is None
     assert homology(t) == HomologyProfile((1, 0, 2), ((), (), ()))
+
+
+# ---------------------------------------------------------------------------
+# the signed forest shared by the facet index and both closed-form ends
+
+
+@st.composite
+def _signed_multigraphs(draw):
+    """Component sizes and signed edges (a, b, flip), flips 0-3, in random
+    order.  Each component is a block of consecutive node ids, connected by
+    a random spanning tree, with extra edges that may be parallel or loops;
+    so the trees' roots, one per block, come in block order."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    pairs = []
+    start = 0
+    for size in sizes:
+        nodes = draw(st.permutations(range(start, start + size)))
+        pairs += [(nodes[k], nodes[draw(st.integers(0, k - 1))]) for k in range(1, size)]
+        pairs += draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=10))
+        start += size
+    flips = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    order = draw(st.permutations(range(len(pairs))))
+    return sizes, [(*pairs[k], flips[k]) for k in order]
+
+
+def _reached(start, adjacency):
+    """The nodes reached from ``start``, in breadth-first order."""
+    seen = {start}
+    queue = [start]
+    for a in queue:
+        for b, _flip in adjacency[a]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return queue
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_multigraphs())
+def test_signed_forest_spans_each_component_and_finds_its_unbalanced_bits(graph):
+    """The forest has one edge fewer than the nodes per component and spans
+    each; a component is unbalanced in a bit exactly when a breadth-first
+    labelling, flipping that bit across the edges that carry it, meets an
+    edge that disagrees."""
+    sizes, edges = graph
+    count = sum(sizes)
+    tree, odd = _signed_forest(count, edges)
+    assert tree == sorted(set(tree))
+    assert len(tree) == count - len(sizes)
+    assert len(odd) == len(sizes)
+    adjacency = [[] for _ in range(count)]
+    forest = [[] for _ in range(count)]
+    for position, (a, b, flip) in enumerate(edges):
+        adjacency[a].append((b, flip))
+        adjacency[b].append((a, flip))
+        if position in tree:
+            forest[a].append((b, flip))
+            forest[b].append((a, flip))
+    start = 0
+    for bits, size in zip(odd, sizes):
+        block = set(range(start, start + size))
+        assert set(_reached(start, forest)) == block
+        label = {start: 0}
+        for a in _reached(start, adjacency):
+            for b, flip in adjacency[a]:
+                label.setdefault(b, label[a] ^ flip)
+        conflict = 0
+        for a in block:
+            for b, flip in adjacency[a]:
+                conflict |= label[a] ^ label[b] ^ flip
+        assert bits == conflict
+        start += size

@@ -27,7 +27,8 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
-from colorplex.oracles import SUITE_NAMES, run_suite
+from colorplex.homology import _boundary_rows, smith_invariant_factors
+from colorplex.oracles import SUITE_NAMES, run_suite, seeded_refinements
 from colorplex import triangulation as tri
 
 TETRA_TEXT = """\
@@ -317,11 +318,32 @@ def test_even_cyclic_matches_odd_walk_oracle():
 
 
 def test_orientability_matches_top_homology():
-    # H_n of a closed pseudomanifold is Z to the number of its orientable
-    # dual components, so exact SNF decides orientability independently
+    # per dual component of a closed pseudomanifold, the full top boundary
+    # matrix has invariant factors all 1 when the component is orientable
+    # and all 1 plus one 2 when it is not; an elimination of every
+    # simplex's row shares no code with the signed forest, which decides
+    # both orientability and homology's H_n
     for t in _examples_and_subdivisions() + _unions_both_orders():
-        expected = homology(t).betti[t.dimension] == validate(t).components
-        assert orientability(t) == expected
+        facet_ids = {f: i for i, f in enumerate(t.faces[t.dimension - 1])}
+        factors = smith_invariant_factors(_boundary_rows(t.simplices, facet_ids))
+        assert set(factors) <= {1, 2}
+        assert orientability(t) == (2 not in factors)
+        assert homology(t).betti[t.dimension] == len(t.simplices) - len(factors)
+
+
+def test_generator_loops_decide_orientability_and_even_cycles():
+    # sign(Hol(g)) = (-1)^|g| w(g) on a dual loop g of |g| edges with
+    # orientation character w(g), and the generator loops span the cycles of
+    # a connected dual graph; the transport shares no code with the forest
+    inputs = _examples_and_subdivisions() + [t for _name, t in seeded_refinements(7)]
+    for t in inputs:
+        data = hol_generators(t)
+        lengths = [len(data.generator_loop(k)) - 1 for k in range(len(data.generators))]
+        signs = [(-1) ** (p.degree - len(p.cycle_type())) for p in data.permutations]
+        assert is_even_cyclic(t) == all(length % 2 == 0 for length in lengths)
+        assert orientability(t) == all(
+            sign == (-1) ** length for sign, length in zip(signs, lengths)
+        )
 
 
 def test_even_cyclic_values():
