@@ -530,11 +530,12 @@ def gem_from_coloring(t: Triangulation, coloring) -> Gem:
 
     if not verify_coloring(t, coloring, 4):
         raise ValueError("not a proper 4-coloring; every simplex must be rainbow")
-    edges = []
-    for a, nbs in enumerate(t.facet_index.adjacency):
-        for b, i, j in nbs:
-            if a < b:
-                edges.append((a, b, coloring[t.simplices[a][i]]))
+    # four slots per tetrahedron; each glued facet is read from its smaller slot
+    edges = [
+        (x // 4, y // 4, coloring[t.simplices[x // 4][x % 4]])
+        for x, y in enumerate(t.facet_index.mates)
+        if x < y
+    ]
     return Gem.from_edges(edges)
 
 

@@ -126,12 +126,14 @@ def hol_generators(
     One breadth-first walk from simplex 0, which has color i on its i-th
     smallest vertex, labels each simplex it reaches with the colors carried
     across the tree edge (by position, see ``_transport``, with the same
-    result as ``propagate``).  When the walk
-    at ``a`` meets an already-labelled neighbour ``b > a`` that is not
-    ``a``'s parent, (a, b) is a non-tree edge and its permutation is taken
-    there: two simplices share at most one facet, so a labelled tree
-    neighbour can only be the parent, and each non-tree edge is met once
-    from its smaller end.  The generators are listed in (a, b) order.
+    result as ``propagate``).  A simplex's neighbours are read off its slots
+    in the facet index: the paired slots, sorted, hold them in ascending id,
+    because two simplices share at most one facet, and the slots that hold
+    -1 are skipped.  When the walk at ``a`` meets an already-labelled
+    neighbour ``b > a`` that is not ``a``'s parent, (a, b) is a non-tree edge
+    and its permutation is taken there: a labelled tree neighbour can only
+    be the parent, and each non-tree edge is met once from its smaller end.
+    The generators are listed in (a, b) order.
 
     A step depends only on the colors carried and the dropped positions
     (i, j), so each distinct step is computed once per call and its result
@@ -148,10 +150,10 @@ def hol_generators(
     index = t.facet_index
     if index.components != 1:
         raise ValueError("dual graph is disconnected; validate the input first")
-    adjacency = index.adjacency
+    mates = index.mates
     degree = t.dimension + 1
-    parent = [-1] * len(adjacency)
-    colors: list[tuple[int, ...] | None] = [None] * len(adjacency)
+    parent = [-1] * len(t.simplices)
+    colors: list[tuple[int, ...] | None] = [None] * len(t.simplices)
     colors[0] = tuple(range(1, degree + 1))
     found = []
     steps: dict[tuple[tuple[int, ...], int, int], tuple[int, ...]] = {}
@@ -161,11 +163,16 @@ def hol_generators(
     queue = deque([0])
     while queue:
         cur = queue.popleft()
-        for nb, i, j in reversed(adjacency[cur]) if reverse_neighbors else adjacency[cur]:
+        base = cur * degree
+        for m in sorted(mates[base : base + degree], reverse=reverse_neighbors):
+            if m < 0:
+                continue
+            nb = m // degree
             tree = colors[nb] is None
             if not tree and (nb < cur or nb == parent[cur]):
                 continue
-            key = (colors[cur], i, j)
+            # cur drops its vertex at position i = mates[m] - base, nb at j
+            key = (colors[cur], mates[m] - base, m % degree)
             moved = steps.get(key)
             if moved is None:
                 moved = _transport(*key)
@@ -203,7 +210,8 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     before it has visited every coface (the face's link is not connected,
     as at a pinched vertex), or reaches a facet that two simplices do not
     share, ValueError is raised.  The walk goes by position: it crosses the
-    facet opposite one outside vertex and follows the other one.
+    facet opposite one outside vertex, looking up that facet's slot in the
+    facet index, and follows the other one.
     """
     face = tuple(sorted(face))
     if len(face) != t.dimension - 1 or len(set(face)) != len(face):
@@ -221,17 +229,18 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
 
     start = cur = cofaces[0]
     keep, drop = (k for k, v in enumerate(t.simplices[start]) if v not in inside)
-    colors = tuple(range(1, t.dimension + 2))
+    width = t.dimension + 1
+    colors = tuple(range(1, width + 1))
     steps = 0
     while True:
-        crossing = [(b, j) for b, i, j in index.adjacency[cur] if i == drop]
-        if not crossing:
+        m = index.mates[cur * width + drop]
+        if m < 0:
             s = t.simplices[cur]
             raise ValueError(
                 f"a loop around {face} reaches the facet {s[:drop] + s[drop + 1 :]}, "
                 "which two simplices do not share"
             )
-        ((nxt, j),) = crossing
+        nxt, j = divmod(m, width)
         colors = _transport(colors, drop, j)
         # j is the far side's new outside vertex; the kept one moves along
         cur, keep, drop = nxt, j, t.simplices[nxt].index(t.simplices[cur][keep])

@@ -10,25 +10,27 @@ lists the faces of each dimension 0..n in sorted order, a face's position
 being its face id; the Euler characteristic, homology and barycentric
 subdivision read it.  It can be exponential in n, so it is built only within
 ``FACE_BUDGET`` faces.  The facet index ``Triangulation.facet_index`` is the
-dual graph: its edges with their facets, each simplex's dual edges by
-dropped-vertex position, the facets not shared by exactly two simplices, and
-every vertex's star, and from one signed forest of it (``_signed_forest``,
-which homology's closed forms share) the component count and the verdicts
-on bipartiteness and orientability.  Validation, the dual graph, both
-verdicts, the holonomy and the gem encoding read it; the facet table it is
-built from is dropped.
+dual graph as a gluing table: one flat list of slots, slot a*(n+1)+i for the
+facet that simplex a gets by dropping its vertex at position i, holding the
+slot of the other simplex with that facet, or -1.  Beside it the index keeps
+the facets not shared by exactly two simplices and every vertex's star, and
+from one signed forest over the paired slots (``_signed_forest``, which
+homology's closed forms share) the component count and the verdicts on
+bipartiteness and orientability.  Validation, the dual graph, both verdicts,
+the holonomy and the gem encoding read it; the facet table that pairs the
+slots is dropped once they are paired.
 
 The face census counts faces under the same budget without building the
 lattice: the faces below codimension 2 as sets, the codim-2 faces with their
-degrees in one count, and the facets as the facet index's dual edges plus its
+degrees in one count, and the facets as the index's pairs of slots plus its
 bad faces.  The census and the default-tree holonomy data are held the same
 way as the indexes, so everything derived from a triangulation is built at
 most once per object and lives exactly as long as it.  ``dual_graph`` holds
-nothing: it wraps the index's edges; nor does ``homology``, which no caller
-computes twice for one triangulation.  Everything here is immutable and
-every function is pure, so concurrent use on shared inputs is safe; two
-threads that read a property first at the same time may both build it, with
-equal results.
+nothing: it lists the paired slots as edges on each call; nor does
+``homology``, which no caller computes twice for one triangulation.  Nothing
+is written after it is built and every function is pure, so concurrent use on
+shared inputs is safe; two threads that read a property first at the same
+time may both build it, with equal results.
 """
 
 from __future__ import annotations
@@ -173,14 +175,15 @@ def parse_triangulation(text: str) -> Triangulation:
                 raise FormatError(f"bad dimension {parts[1]!r}", lineno) from None
             if dimension < 1:
                 raise FormatError(f"dimension must be >= 1, got {dimension}", lineno)
+            width = dimension + 1
             continue
         try:
-            verts = tuple(sorted(int(tok) for tok in line.split()))
+            verts = tuple(sorted(map(int, line.split())))
         except ValueError:
             raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
-        fault = _simplex_fault(verts, dimension)
-        if fault is not None:
-            raise FormatError(fault, lineno)
+        # sorted, so verts[0] is the least vertex id
+        if len(verts) != width or verts[0] < 0 or len(set(verts)) != width:
+            raise FormatError(_simplex_fault(verts, dimension), lineno)
         if verts in seen:
             raise FormatError(f"duplicate simplex {verts}", lineno)
         seen.add(verts)
@@ -236,21 +239,22 @@ class _FacetIndex:
     """The dual graph and vertex stars of a triangulation, from one pass over
     its facets, and what a signed spanning forest of the dual graph decides.
 
-    ``edges`` lists the dual edges as (a, b, shared facet), a < b, in
-    ascending order.  ``adjacency[a]`` lists the dual edges at simplex a as
-    (b, i, j), ascending in b: a and b share the facet that a gets by
-    dropping its vertex at position i and b by dropping its vertex at
-    position j.  ``bad_faces`` lists the facets of degree other than 2 with
-    their degrees, in facet order.  ``stars`` maps each vertex to the
-    ascending ids of the simplices containing it.  ``components`` counts the
-    connected components of the dual graph; ``even_cyclic`` and
-    ``orientable`` are the verdicts of ``is_even_cyclic`` and
-    ``orientability``, taken over every component: the balance of the
-    forest's two bits, the side and the orientation, in each tree.
+    ``mates`` is the gluing table, one slot per facet of each simplex: slot
+    a*(n+1)+i stands for the facet that simplex a gets by dropping its vertex
+    at position i, and holds b*(n+1)+j when simplex b, dropping position j,
+    is the one other simplex with that facet, or -1 when that facet is not
+    shared by exactly two simplices.  So ``mates`` is an involution on its
+    paired slots, and each dual edge is one pair of slots.  ``bad_faces``
+    lists the facets of degree other than 2 with their degrees, in facet
+    order.  ``stars`` maps each vertex to the ascending ids of the simplices
+    containing it.  ``components`` counts the connected components of the
+    dual graph; ``even_cyclic`` and ``orientable`` are the verdicts of
+    ``is_even_cyclic`` and ``orientability``, taken over every component:
+    the balance of the forest's two bits, the side and the orientation, in
+    each tree.
     """
 
-    edges: tuple[tuple[int, int, tuple[int, ...]], ...]
-    adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
+    mates: list[int]
     bad_faces: tuple[tuple[tuple[int, ...], int], ...]
     stars: dict[int, list[int]]
     components: int
@@ -259,42 +263,53 @@ class _FacetIndex:
 
 
 def _facet_index(t: Triangulation) -> _FacetIndex:
-    dropped = range(t.dimension, -1, -1)  # combinations drop the last vertex first
-    facets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    n = t.dimension
+    width = n + 1
+    mates = [-1] * (len(t.simplices) * width)
+    first: dict[tuple[int, ...], int] = {}  # each facet's first slot
+    branching: dict[tuple[int, ...], int] = {}  # facets of degree 3 or more
     stars: dict[int, list[int]] = {}
     for sid, s in enumerate(t.simplices):
-        for i, facet in zip(dropped, combinations(s, t.dimension)):
-            facets.setdefault(facet, []).append((sid, i))
+        x = sid * width + n  # combinations drop the last vertex first
+        for facet in combinations(s, n):
+            y = first.setdefault(facet, x)
+            if y != x:
+                z = mates[y]
+                if z >= 0:  # a third simplex: the facet is not a dual edge
+                    mates[y] = mates[z] = -1
+                    branching[facet] = 3
+                elif branching and facet in branching:
+                    branching[facet] += 1
+                else:
+                    mates[x] = y
+                    mates[y] = x
+            x -= 1
         for v in s:
             stars.setdefault(v, []).append(sid)
-    lists: list[list[tuple[int, int, int]]] = [[] for _ in t.simplices]
-    for pairs in facets.values():
-        if len(pairs) == 2:
-            (a, i), (b, j) = pairs
-            lists[a].append((b, i, j))
-            lists[b].append((a, j, i))
-    # Two simplices share at most one facet, so (a, b) orders the edges.  They
-    # are built after the adjacency so that its tuples stay close in memory
-    # for the dual-graph walks that read them.
-    edges = sorted((p[0][0], p[1][0], f) for f, p in facets.items() if len(p) == 2)
-    bad = sorted((f, len(p)) for f, p in facets.items() if len(p) != 2)
-    del facets  # before the forest, so that the index's peak memory does not rise
-    adjacency = tuple(tuple(sorted(nbs)) for nbs in lists)
-    del lists
+    del first
+    bad = list(branching.items())
+    if -1 in mates:  # an unpaired slot whose facet is not branching has degree 1
+        for x, y in enumerate(mates):
+            if y < 0:
+                a, i = divmod(x, width)
+                s = t.simplices[a]
+                facet = s[:i] + s[i + 1 :]
+                if facet not in branching:
+                    bad.append((facet, 1))
+    bad.sort()
 
     # Bit 1 of a dual edge's flip is the side, which every dual edge flips;
     # bit 2 is the orientation sign, which flips across a facet dropped at
-    # positions i and j exactly when i + j is even.
+    # positions i and j exactly when i + j is even.  Each dual edge is read
+    # once, from its smaller slot (an unpaired slot holds -1).
     signed = (
-        (a, b, 1 if (i + j) % 2 else 3)
-        for a, nbs in enumerate(adjacency) for b, i, j in nbs if a < b
+        (x // width, y // width, 1 if (x % width + y % width) % 2 else 3)
+        for x, y in enumerate(mates) if x < y
     )
-    _tree, odd = _signed_forest(len(adjacency), signed)
+    _tree, odd = _signed_forest(len(t.simplices), signed)
     even_cyclic = not any(bits & 1 for bits in odd)
     orientable = not any(bits & 2 for bits in odd)
-    return _FacetIndex(
-        tuple(edges), adjacency, tuple(bad), stars, len(odd), even_cyclic, orientable
-    )
+    return _FacetIndex(mates, tuple(bad), stars, len(odd), even_cyclic, orientable)
 
 
 def _signed_forest(
@@ -418,9 +433,10 @@ def _census(t: Triangulation) -> FaceCensus:
         degree = Counter(chain.from_iterable(map(combinations, t.simplices, repeat(n - 1))))
         codim2 = tuple(sorted(degree.items()))
         counts.append(len(degree))
-    # every facet is either shared by two simplices (a dual edge) or bad
+    # every facet is either shared by two simplices (a pair of slots) or bad
     index = t.facet_index
-    counts += [len(index.edges) + len(index.bad_faces), len(t.simplices)]
+    shared = (len(index.mates) - index.mates.count(-1)) // 2
+    counts += [shared + len(index.bad_faces), len(t.simplices)]
     return FaceCensus(counts=tuple(counts), codim2_degrees=codim2)
 
 
@@ -454,7 +470,17 @@ class DualGraph:
 
 
 def dual_graph(t: Triangulation) -> DualGraph:
-    return DualGraph(node_count=len(t.simplices), edges=t.facet_index.edges)
+    """The dual graph, its edges read off the facet index's paired slots."""
+    width = t.dimension + 1
+    ids = list(range(len(t.simplices)))  # one int object per simplex for both ends
+    edges = []
+    for x, y in enumerate(t.facet_index.mates):
+        if x < y:
+            a, i = divmod(x, width)
+            s = t.simplices[a]
+            edges.append((ids[a], ids[y // width], s[:i] + s[i + 1 :]))
+    edges.sort()  # by (a, b): two simplices share at most one facet
+    return DualGraph(node_count=len(t.simplices), edges=tuple(edges))
 
 
 def is_even_cyclic(t: Triangulation) -> bool:
@@ -470,7 +496,7 @@ def orientability(t: Triangulation) -> bool:
 
     The signed forest of the facet index carries a sign per simplex over a
     dual spanning forest; the complex is orientable iff every non-tree
-    adjacency is consistent.  The induced boundary orientation of the facet
+    dual edge is consistent.  The induced boundary orientation of the facet
     obtained by dropping the vertex at sorted position i carries sign (-1)^i,
     and coherence requires the two induced orientations of a shared facet to
     cancel: across a facet dropped at positions i and j the sign flips

@@ -24,6 +24,7 @@ from colorplex import (
 )
 from colorplex.builders import cross_polytope_boundary, simplex_boundary
 from colorplex.errors import FormatError
+from colorplex.triangulation import Triangulation
 from colorplex.oracles import random_gem
 from gem_residues import subgraph_components
 from oracle_planarity import planar_oracle
@@ -156,6 +157,30 @@ def test_gem_from_coloring_rejects_bad_input():
         gem_from_coloring(t, {v: 1 + v % 4 for v in t.vertices})
     with pytest.raises(ValueError, match="n=3"):
         gem_from_coloring(simplex_boundary(2), {})
+
+
+def test_gem_from_coloring_matches_a_facet_enumeration():
+    # shuffled vertex ids, so that a vertex's sorted position no longer
+    # follows its color and the two simplices at a facet drop it at
+    # different positions
+    rng = random.Random(4)
+    sub, sub_coloring = barycentric_subdivide(simplex_boundary(3))
+    cross = cross_polytope_boundary(3)
+    for t, coloring in ((sub, sub_coloring), (cross, {v: v // 2 + 1 for v in cross.vertices})):
+        ids = list(t.vertices)
+        rng.shuffle(ids)
+        relabel = dict(zip(t.vertices, ids))
+        moved = Triangulation.from_simplices(3, [[relabel[v] for v in s] for s in t.simplices])
+        moved_coloring = {relabel[v]: c for v, c in coloring.items()}
+        cofaces = {}
+        for sid, s in enumerate(moved.simplices):
+            for facet in itertools.combinations(s, 3):
+                cofaces.setdefault(facet, []).append(sid)
+        expected = sorted(
+            (a, b, ({1, 2, 3, 4} - {moved_coloring[v] for v in facet}).pop())
+            for facet, (a, b) in cofaces.items()
+        )
+        assert gem_from_coloring(moved, moved_coloring).edges == tuple(expected)
 
 
 def test_gem_from_subdivided_4simplex():

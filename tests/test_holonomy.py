@@ -527,9 +527,18 @@ def test_hol_generators_rejects_a_disconnected_dual_graph():
         hol_generators(Triangulation.from_simplices(2, []))  # no component at all
 
 
+# Connected but not closed: the open disk has three facets of degree 1, and
+# the branched disk has the facet (1, 2) of degree 3 and one dual cycle;
+# the walk skips their unpaired slots.
+OPEN_DISK = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
+BRANCHED_DISK = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 5), (2, 4, 5), (3, 4, 5)]
+
+
 @pytest.mark.parametrize("reverse_neighbors", [False, True])
 def test_hol_generators_match_propagate(reverse_neighbors):
-    for t in _examples_and_subdivisions():
+    not_closed = [Triangulation.from_simplices(2, s) for s in (OPEN_DISK, BRANCHED_DISK)]
+    assert [(validate(t).closed, validate(t).connected) for t in not_closed] == [(False, True)] * 2
+    for t in _examples_and_subdivisions() + not_closed:
         hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
         got = (hol.parent, hol.colors, hol.generators, hol.permutations)
         assert got == _propagated_holonomy(t, reverse_neighbors)

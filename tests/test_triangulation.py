@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -122,6 +123,44 @@ OPEN_DISK = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]  # three facets of degree 1
 BRANCHING = [(1, 2, 3), (1, 2, 4), (1, 2, 5)]  # the facet (1, 2) of degree 3
 TWO_SPHERES = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
                (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)]
+# the suspension of the theta graph: the edges from its branch vertices 0
+# and 1 to the apexes 5 and 6 lie in three triangles
+THETA_SUSPENSION = [e + (v,) for e in ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4))
+                    for v in (5, 6)]
+BOOK = [(1, 2, v) for v in range(3, 8)]  # five pages: the facet (1, 2) of degree 5
+
+
+def _slot_inputs():
+    return _examples_and_subdivisions() + [
+        Triangulation.from_simplices(2, simplices)
+        for simplices in (OPEN_DISK, BRANCHING, THETA_SUSPENSION, BOOK, TWO_SPHERES)
+    ]
+
+
+def test_facet_index_pairs_each_shared_facet_once():
+    for t in _slot_inputs():
+        width = t.dimension + 1
+        mates = t.facet_index.mates
+        assert len(mates) == len(t.simplices) * width
+        paired = [x for x, y in enumerate(mates) if y >= 0]
+        assert all(y == -1 for y in mates if y < 0)
+        # an involution without fixed points on the paired slots
+        assert all(mates[mates[x]] == x != mates[x] for x in paired)
+        cofaces = {}
+        for sid, s in enumerate(t.simplices):
+            for i in range(width):
+                cofaces.setdefault(s[:i] + s[i + 1 :], []).append(sid * width + i)
+        shared = sorted(tuple(slots) for slots in cofaces.values() if len(slots) == 2)
+        assert sorted((x, mates[x]) for x in paired if x < mates[x]) == shared
+
+
+def test_facet_index_bad_faces_match_a_facet_count():
+    for t in _slot_inputs():
+        degrees = Counter(
+            s[:i] + s[i + 1 :] for s in t.simplices for i in range(t.dimension + 1)
+        )
+        expected = tuple(sorted((f, d) for f, d in degrees.items() if d != 2))
+        assert t.facet_index.bad_faces == validate(t).bad_faces == expected
 
 
 def test_validate_sphere_passes():
