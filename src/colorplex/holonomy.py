@@ -148,7 +148,7 @@ def hol_generators(
     must not depend on this choice.
     """
     index = t.facet_index
-    if index.components != 1:
+    if len(index.odd) != 1:
         raise ValueError("dual graph is disconnected; validate the input first")
     mates = index.mates
     degree = t.dimension + 1
@@ -211,7 +211,9 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     as at a pinched vertex), or reaches a facet that two simplices do not
     share, ValueError is raised.  The walk goes by position: it crosses the
     facet opposite one outside vertex, looking up that facet's slot in the
-    facet index, and follows the other one.
+    facet index, and follows the other one.  The cofaces are sought in the
+    smallest star of the face's vertices (``Triangulation.stars``, built on
+    the first call for a triangulation).
     """
     face = tuple(sorted(face))
     if len(face) != t.dimension - 1 or len(set(face)) != len(face):
@@ -219,7 +221,7 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     index = t.facet_index
     inside = set(face)
     candidates = (
-        min((index.stars.get(v, ()) for v in face), key=len)
+        min((t.stars.get(v, ()) for v in face), key=len)
         if face
         else range(len(t.simplices))
     )

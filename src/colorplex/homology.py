@@ -29,25 +29,27 @@ uses column operations, so its pivots are not cleared.
 The two end matrices need no elimination, and one routine serves both:
 ``triangulation._signed_forest``, a union-find that grows a spanning forest
 of a graph whose edges flip bits, and reports per tree the bits in which
-some edge disagrees with the others (the balance test of a signed graph;
-the facet index reads its dual-graph verdicts off the same forest).  The
-1-boundary is the incidence matrix of the 1-skeleton: every invariant
+some edge disagrees with the others (the balance test of a signed graph).
+The 1-boundary is the incidence matrix of the 1-skeleton: every invariant
 factor is 1, and its rank is the vertex count minus the number of
 components, which is the size of the forest over its rows, flipping no bit
 (over the rows left after clearing, which have the same rank).  When every
 (n-1)-face lies in exactly two simplices, as in a closed pseudomanifold,
 the n-boundary is the signed incidence matrix of the dual graph: its rows
 are the simplices (the nodes) and its columns the facets (the edges), each
-column with two entries +-1.  Per dual component, its
-invariant factors are all 1 (one fewer than the simplices) when the
-component is orientable, and all 1 plus one 2 when it is not (Zaslavsky,
-"Signed graphs", Discrete Appl. Math. 1982).  The signed forest over the
-dual edges, in simplex-id order, finds both: across a facet that simplices a
-and b drop at positions i and j, a coherent orientation flips sign exactly
-when i + j is even, and an edge inside one component that disagrees with
-the signs found so far makes that component non-orientable (Dumas, Saunders
-and Villard, "On efficient sparse integer matrix Smith normal form
-computations", JSC 2001, take such structured parts out of elimination).
+column with two entries +-1.  Per dual component, its invariant factors
+are all 1 (one fewer than the simplices) when the component is orientable,
+and all 1 plus one 2 when it is not (Zaslavsky, "Signed graphs", Discrete
+Appl. Math. 1982).  The facet index of the triangulation has already grown
+that forest, once, over its paired slots in slot order, and kept it
+(``_FacetIndex.tree`` and ``.odd``): across a facet that simplices a and b
+drop at positions i and j, a coherent orientation flips sign exactly when
+i + j is even, which is the forest's bit 2, and an edge inside one
+component that disagrees with the signs found so far makes that component
+non-orientable.  So the top matrix's factors are read off the index and
+never built (Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal form computations", JSC 2001, take such structured
+parts out of elimination).
 
 The facets whose edges merged two components are a dual spanning forest,
 and they are the rows cleared from the (n-1)-boundary.  Take a tree facet e
@@ -64,9 +66,8 @@ are those of its non-tree rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .triangulation import Triangulation, _signed_forest
@@ -253,62 +254,26 @@ def _boundary_rows(
     return rows
 
 
-def _closed_top(
-    simplices: Sequence[tuple[int, ...]], facet_ids: dict[tuple[int, ...], int]
-) -> tuple[list[int], list[int]] | None:
-    """Invariant factors of the top boundary matrix, and the ids of the
-    facets of a dual spanning forest, when every facet lies in exactly two
-    simplices; None, as soon as one facet has another degree.
-
-    ``facet_ids`` maps each facet to its column.  The simplices are paired
-    in id order: the second simplex to meet a facet makes it a dual edge to
-    the first, whose one bit flips when the two dropped positions sum to an
-    even number.  ``_signed_forest`` over those edges gives the tree facets
-    and the non-orientable components (see the module docstring).
-    """
-    n = len(simplices[0]) - 1 if simplices else 0
-    # per facet: -1 until a simplex meets it, then 2 * that simplex + the
-    # parity of its position, and -2 once a second simplex has met it
-    first: list[int] = [-1] * len(facet_ids)
-    edges: list[tuple[int, int, int]] = []
-    columns: list[int] = []
-    for b, s in enumerate(simplices):
-        for j, facet in enumerate(reversed(tuple(combinations(s, n)))):
-            c = facet_ids[facet]
-            seen = first[c]
-            if seen == -1:
-                first[c] = 2 * b + j % 2
-                continue
-            if seen == -2:
-                return None  # a third simplex on this facet
-            first[c] = -2
-            edges.append((seen >> 1, b, 1 ^ ((seen ^ j) & 1)))
-            columns.append(c)
-    if len(edges) != len(facet_ids):
-        return None  # a facet in one simplex only
-    tree, odd = _signed_forest(len(simplices), edges)
-    return [1] * len(tree) + [2] * sum(map(bool, odd)), [columns[e] for e in tree]
-
-
 def homology(t: Triangulation) -> HomologyProfile:
     """Homology groups H_0..H_n from the invariant factors of the boundary
     matrices.
 
-    The boundary maps are factored from C_n -> C_{n-1} down to C_1 -> C_0.
-    The k-faces that were unit-pivot columns of the (k+1)-boundary are left
-    out of the k-boundary's rows, which keeps its invariant factors (see the
-    module docstring); the cleared faces go one dimension down, no further.
+    The boundary maps are factored from C_n -> C_{n-1} down to C_1 -> C_0,
+    each over the faces kept from the step above.  The k-faces that were
+    unit-pivot columns of the (k+1)-boundary are left out of the
+    k-boundary's rows, which keeps its invariant factors (see the module
+    docstring); the kept faces go one dimension down, no further.
 
-    The ends are in closed form.  When every (n-1)-face has exactly two
-    cofaces, the n-boundary's factors come from ``_signed_forest`` over the
-    dual graph: per dual component, all 1 when it is orientable and all 1
-    plus one 2 when it is not.  The facets of its spanning forest are the
-    rows cleared from the (n-1)-boundary: the boundary of the signed simplices
-    below a tree facet e in the forest is +-e plus non-tree facets, so e's
-    row is a combination of the others.  Any other top matrix, and every
-    matrix in the middle, goes through ``smith_invariant_factors``.  The
-    1-boundary's factors are all 1, as many as the edges of the same forest
-    over the 1-skeleton.
+    The ends are in closed form.  When the facet index lists no facet of
+    degree other than 2, the n-boundary's factors are read off its signed
+    forest: one 1 per tree edge, and one 2 per tree unbalanced in the
+    orientation bit.  The facets of the tree edges are the rows left out of
+    the (n-1)-boundary: the boundary of the signed simplices below a tree
+    facet e in the forest is +-e plus non-tree facets, so e's row is a
+    combination of the others.  Any other top matrix, and every matrix in
+    the middle, goes through ``smith_invariant_factors``.  The 1-boundary's
+    factors are all 1, as many as the edges of a spanning forest of the
+    1-skeleton.
 
     Invariant: b_k = len(faces_k) - rank_k - rank_{k+1}, and the ranks cancel
     in the alternating sum, so that sum is the Euler characteristic whatever
@@ -319,23 +284,31 @@ def homology(t: Triangulation) -> HomologyProfile:
 
     # factors[k] = invariant factors of the boundary map C_k -> C_{k-1}
     factors: list[list[int]] = [[] for _ in range(n + 2)]
-    cleared: set[int] = set()
+    kept = faces_by_dim[n]
     for k in range(n, 0, -1):
-        lower_index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
-        kept = [f for i, f in enumerate(faces_by_dim[k]) if i not in cleared]
         if k == 1:
+            vertex_ids = {f: i for i, f in enumerate(faces_by_dim[0])}
             joined, _odd = _signed_forest(
-                len(lower_index), ((lower_index[(u,)], lower_index[(v,)], 0) for u, v in kept)
+                len(vertex_ids), ((vertex_ids[(u,)], vertex_ids[(v,)], 0) for u, v in kept)
             )
             factors[1] = [1] * len(joined)
-            continue
-        closed = _closed_top(kept, lower_index) if k == n else None
-        if closed is None:
+        elif k == n and not t.facet_index.bad_faces:
+            index = t.facet_index
+            factors[n] = [1] * len(index.tree) + [2] * sum(1 for bits in index.odd if bits & 2)
+            width = n + 1
+            tree_facets = set()
+            for x in index.tree:
+                a, i = divmod(x, width)
+                s = t.simplices[a]
+                tree_facets.add(s[:i] + s[i + 1 :])
+            kept = [f for f in faces_by_dim[n - 1] if f not in tree_facets]
+            del tree_facets  # not held while the matrices below are reduced
+        else:
+            lower_index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
             pivots: list[int] = []
             factors[k] = smith_invariant_factors(_boundary_rows(kept, lower_index), pivots)
-        else:
-            factors[k], pivots = closed
-        cleared = set(pivots)
+            cleared = set(pivots)
+            kept = [f for i, f in enumerate(faces_by_dim[k - 1]) if i not in cleared]
 
     betti = []
     torsion = []

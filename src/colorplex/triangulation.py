@@ -12,13 +12,16 @@ subdivision read it.  It can be exponential in n, so it is built only within
 ``FACE_BUDGET`` faces.  The facet index ``Triangulation.facet_index`` is the
 dual graph as a gluing table: one flat list of slots, slot a*(n+1)+i for the
 facet that simplex a gets by dropping its vertex at position i, holding the
-slot of the other simplex with that facet, or -1.  Beside it the index keeps
-the facets not shared by exactly two simplices and every vertex's star, and
-from one signed forest over the paired slots (``_signed_forest``, which
-homology's closed forms share) the component count and the verdicts on
-bipartiteness and orientability.  Validation, the dual graph, both verdicts,
-the holonomy and the gem encoding read it; the facet table that pairs the
-slots is dropped once they are paired.
+slot of the other simplex with that facet, or -1.  It is the package's only
+pairing of facets.  Beside the slots the index keeps the facets not shared by
+exactly two simplices, and one signed spanning forest over the paired slots
+(``_signed_forest``): its edges, and per tree the bits in which the tree is
+unbalanced, from which the component count and the verdicts on bipartiteness
+and orientability are read.  Validation, the dual graph, both verdicts, the
+holonomy, the gem encoding and homology's closed-form top matrix read it;
+the facet table that pairs the slots is dropped once they are paired.  The
+vertex stars ``Triangulation.stars`` are a cached property of their own,
+built on first use by ``link_loop_permutation``, their only reader.
 
 The face census counts faces under the same budget without building the
 lattice: the faces below codimension 2 as sets, the codim-2 faces with their
@@ -27,10 +30,11 @@ bad faces.  The census and the default-tree holonomy data are held the same
 way as the indexes, so everything derived from a triangulation is built at
 most once per object and lives exactly as long as it.  ``dual_graph`` holds
 nothing: it lists the paired slots as edges on each call; nor does
-``homology``, which no caller computes twice for one triangulation.  Nothing
-is written after it is built and every function is pure, so concurrent use on
-shared inputs is safe; two threads that read a property first at the same
-time may both build it, with equal results.
+``homology``, which no caller computes twice for one triangulation (it reads
+the face lattice and the facet index).  Nothing is written after it is built
+and every function is pure, so concurrent use on shared inputs is safe; two
+threads that read a property first at the same time may both build it, with
+equal results.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ class Triangulation:
     ids are arbitrary non-negative integers and are preserved verbatim.
 
     The data derived from a triangulation are cached properties, built on
-    first read and then held by the object: ``facet_index``, ``faces``,
-    ``census`` and ``holonomy``.  Equality and hashing ignore them.
+    first read and then held by the object: ``facet_index``, ``stars``,
+    ``faces``, ``census`` and ``holonomy``.  Equality and hashing ignore
+    them.
     """
 
     dimension: int
@@ -96,8 +101,15 @@ class Triangulation:
 
     @cached_property
     def facet_index(self) -> _FacetIndex:
-        """The dual graph and vertex stars (see ``_FacetIndex``)."""
+        """The dual graph and a signed spanning forest of it (see
+        ``_FacetIndex``)."""
         return _facet_index(self)
+
+    @cached_property
+    def stars(self) -> dict[int, list[int]]:
+        """Each vertex's star: the ascending ids of the simplices containing
+        it."""
+        return _stars(self)
 
     @cached_property
     def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -118,6 +130,14 @@ class Triangulation:
         from .holonomy import hol_generators  # at call time: holonomy imports this module
 
         return hol_generators(self)
+
+
+def _stars(t: Triangulation) -> dict[int, list[int]]:
+    stars: dict[int, list[int]] = {}
+    for sid, s in enumerate(t.simplices):
+        for v in s:
+            stars.setdefault(v, []).append(sid)
+    return stars
 
 
 def _simplex_fault(verts: tuple[int, ...], dimension: int) -> str | None:
@@ -236,8 +256,8 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class _FacetIndex:
-    """The dual graph and vertex stars of a triangulation, from one pass over
-    its facets, and what a signed spanning forest of the dual graph decides.
+    """The dual graph of a triangulation, from one pass over its facets, and
+    a signed spanning forest of it.
 
     ``mates`` is the gluing table, one slot per facet of each simplex: slot
     a*(n+1)+i stands for the facet that simplex a gets by dropping its vertex
@@ -246,20 +266,21 @@ class _FacetIndex:
     shared by exactly two simplices.  So ``mates`` is an involution on its
     paired slots, and each dual edge is one pair of slots.  ``bad_faces``
     lists the facets of degree other than 2 with their degrees, in facet
-    order.  ``stars`` maps each vertex to the ascending ids of the simplices
-    containing it.  ``components`` counts the connected components of the
-    dual graph; ``even_cyclic`` and ``orientable`` are the verdicts of
-    ``is_even_cyclic`` and ``orientability``, taken over every component:
-    the balance of the forest's two bits, the side and the orientation, in
-    each tree.
+    order.
+
+    ``tree`` lists the forest's edges, each by its smaller slot x (x <
+    mates[x]), ascending; ``odd`` holds per tree, one per component of the
+    dual graph in order of the trees' roots, the bits in which it is
+    unbalanced: bit 1 the side, which every dual edge flips, and bit 2 the
+    orientation.  The component count, ``is_even_cyclic`` and
+    ``orientability`` read ``odd``; homology reads both, for its top
+    boundary matrix and the rows it clears from the next one down.
     """
 
     mates: list[int]
     bad_faces: tuple[tuple[tuple[int, ...], int], ...]
-    stars: dict[int, list[int]]
-    components: int
-    even_cyclic: bool
-    orientable: bool
+    tree: list[int]
+    odd: list[int]
 
 
 def _facet_index(t: Triangulation) -> _FacetIndex:
@@ -268,7 +289,6 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
     mates = [-1] * (len(t.simplices) * width)
     first: dict[tuple[int, ...], int] = {}  # each facet's first slot
     branching: dict[tuple[int, ...], int] = {}  # facets of degree 3 or more
-    stars: dict[int, list[int]] = {}
     for sid, s in enumerate(t.simplices):
         x = sid * width + n  # combinations drop the last vertex first
         for facet in combinations(s, n):
@@ -284,8 +304,6 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
                     mates[x] = y
                     mates[y] = x
             x -= 1
-        for v in s:
-            stars.setdefault(v, []).append(sid)
     del first
     bad = list(branching.items())
     if -1 in mates:  # an unpaired slot whose facet is not branching has degree 1
@@ -302,14 +320,15 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
     # bit 2 is the orientation sign, which flips across a facet dropped at
     # positions i and j exactly when i + j is even.  Each dual edge is read
     # once, from its smaller slot (an unpaired slot holds -1).
-    signed = (
-        (x // width, y // width, 1 if (x % width + y % width) % 2 else 3)
-        for x, y in enumerate(mates) if x < y
+    shared = [x for x, y in enumerate(mates) if x < y]
+    joined, odd = _signed_forest(
+        len(t.simplices),
+        (
+            (x // width, mates[x] // width, 1 if (x % width + mates[x] % width) % 2 else 3)
+            for x in shared
+        ),
     )
-    _tree, odd = _signed_forest(len(t.simplices), signed)
-    even_cyclic = not any(bits & 1 for bits in odd)
-    orientable = not any(bits & 2 for bits in odd)
-    return _FacetIndex(mates, tuple(bad), stars, len(odd), even_cyclic, orientable)
+    return _FacetIndex(mates, tuple(bad), [shared[e] for e in joined], odd)
 
 
 def _signed_forest(
@@ -371,9 +390,9 @@ def validate(t: Triangulation) -> ValidationReport:
     return ValidationReport(
         pure=True,
         closed=not index.bad_faces,
-        connected=index.components == 1,
+        connected=len(index.odd) == 1,
         bad_faces=index.bad_faces,
-        components=index.components,
+        components=len(index.odd),
     )
 
 
@@ -488,7 +507,7 @@ def is_even_cyclic(t: Triangulation) -> bool:
     i.e. the dual graph is bipartite: the signed forest of the facet index
     flips a simplex's side across every dual edge and finds no edge within a
     side."""
-    return t.facet_index.even_cyclic
+    return not any(bits & 1 for bits in t.facet_index.odd)
 
 
 def orientability(t: Triangulation) -> bool:
@@ -503,4 +522,4 @@ def orientability(t: Triangulation) -> bool:
     exactly when i + j is even.  A disconnected complex is orientable iff
     every component is.
     """
-    return t.facet_index.orientable
+    return not any(bits & 2 for bits in t.facet_index.odd)

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from colorplex.builders import circle, cross_polytope_boundary
 from colorplex.homology import (
     HomologyProfile,
     _boundary_rows,
-    _closed_top,
     _normalise_divisibility,
     _smallest_pivot_diagonal,
     _sparse,
@@ -349,6 +349,19 @@ def _facet_ids(t):
     return {f: i for i, f in enumerate(t.faces[t.dimension - 1])}
 
 
+def _factored_rows(t):
+    """``homology(t)``, and by dimension k the number of rows of the
+    k-boundary that it hands to ``smith_invariant_factors``: a row of the
+    k-boundary has k+1 entries."""
+    module = importlib.import_module("colorplex.homology")
+    with mock.patch.object(
+        module, "smith_invariant_factors", wraps=module.smith_invariant_factors
+    ) as spy:
+        profile = homology(t)
+    rows = (call.args[0] for call in spy.call_args_list)
+    return profile, {len(r[0]) - 1: len(r) for r in rows if r}
+
+
 def _theta_suspension():
     """The suspension of the theta graph (two vertices joined by three
     paths): each edge from a branch vertex to an apex lies in three
@@ -361,9 +374,10 @@ def _theta_suspension():
 # suspension of RP2 carry Z/2 in H2 and H3, and RP2 and its suspension
 # thickened carry it in H1 and H2; in the thickened complexes the factor 2
 # sits in a matrix whose rows the one above has cleared.  The closed form
-# takes the top matrix exactly when every facet lies in two simplices: the
-# torus without one triangle has facets of degree 1, the suspended theta
-# graph of degree 3, and only some random draws are closed.
+# takes the top matrix exactly when every facet lies in two simplices, and
+# otherwise factors it in full: the torus without one triangle has facets of
+# degree 1, the suspended theta graph of degree 3, and only some random
+# draws are closed.
 @settings(max_examples=300, deadline=None)
 @given(_pure_complexes())
 @example(_suspension(rp2_6()))
@@ -373,8 +387,10 @@ def _theta_suspension():
 @example(Triangulation.from_simplices(2, torus7().simplices[1:]))
 @example(_theta_suspension())
 def test_homology_with_clearing_matches_full_boundary_matrices(t):
-    assert homology(t) == _reference_homology(t)
-    assert (_closed_top(t.simplices, _facet_ids(t)) is not None) == validate(t).closed
+    profile, rows = _factored_rows(t)
+    assert profile == _reference_homology(t)
+    if t.dimension >= 2:  # the 1-boundary is a graph rank at any n
+        assert (t.dimension not in rows) == validate(t).closed
 
 
 def test_suspended_and_thickened_projective_planes_keep_their_torsion():
@@ -389,7 +405,8 @@ def test_suspended_and_thickened_projective_planes_keep_their_torsion():
 
 
 # ---------------------------------------------------------------------------
-# the closed-form top matrix: closed pseudomanifolds, glued from pieces
+# the closed-form top matrix, read off the facet index: closed
+# pseudomanifolds, glued from pieces
 
 
 _CLOSED_PIECES = {
@@ -442,6 +459,8 @@ RP2_AND_RP2 = _glued(rp2_6(), rp2_6())
 RP2_AND_TORUS = _glued(rp2_6(), torus7())
 # two dual components, but one component of the 1-skeleton
 RP2_WEDGE_TORUS = _glued(rp2_6(), torus7(), at=0)
+# the top matrix carries a 2, and the 2-boundary is factored after clearing
+SIGMA_RP2_AND_SPHERE = _glued(_suspension(rp2_6()), cross_polytope_boundary(3))
 
 
 def test_glued_projective_planes_and_tori():
@@ -455,28 +474,45 @@ def test_glued_projective_planes_and_tori():
 @example(RP2_AND_RP2)
 @example(RP2_AND_TORUS)
 @example(RP2_WEDGE_TORUS)
+@example(SIGMA_RP2_AND_SPHERE)
 def test_homology_of_closed_pseudomanifolds_matches_full_boundary_matrices(t):
+    """Also: the tree facets' rows are left out of the (n-1)-boundary.  Left
+    in, they would keep every factor, so only the row count shows them."""
     assert validate(t).closed
-    assert homology(t) == _reference_homology(t)
+    profile, rows = _factored_rows(t)
+    assert profile == _reference_homology(t)
+    n = t.dimension
+    if n >= 3:  # below, the (n-1)-boundary is a graph rank
+        assert rows[n - 1] == len(t.faces[n - 1]) - (len(t.simplices) - validate(t).components)
+
+
+def _slot_facet(t, x):
+    s = t.simplices[x // (t.dimension + 1)]
+    i = x % (t.dimension + 1)
+    return s[:i] + s[i + 1 :]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_closed_pseudomanifolds())
 @example(RP2_AND_RP2)
 @example(RP2_WEDGE_TORUS)
-def test_closed_top_factors_and_forest(t):
-    """The closed form equals the SNF of the full top matrix; the forest's
-    facets are distinct, one fewer than the simplices per dual component,
-    and leaving their rows out of the next matrix down keeps its factors."""
+@example(SIGMA_RP2_AND_SPHERE)
+def test_facet_index_forest_gives_top_factors_and_cleared_rows(t):
+    """The factors read off the index's forest, one 1 per tree slot and one
+    2 per tree unbalanced in the orientation bit, equal the SNF of the full
+    top matrix; the tree slots name distinct facets, one fewer than the
+    simplices per dual component, and leaving their rows out of the next
+    matrix down keeps its factors."""
     n = t.dimension
-    facet_ids = _facet_ids(t)
-    factors, tree = _closed_top(t.simplices, facet_ids)
-    assert factors == smith_invariant_factors(_boundary_rows(t.simplices, facet_ids))
-    assert len(set(tree)) == len(tree) == len(t.simplices) - t.facet_index.components
+    index = t.facet_index
+    factors = [1] * len(index.tree) + [2] * sum(1 for bits in index.odd if bits & 2)
+    assert factors == smith_invariant_factors(_boundary_rows(t.simplices, _facet_ids(t)))
+    assert all(x < index.mates[x] for x in index.tree)
+    tree_facets = {_slot_facet(t, x) for x in index.tree}
+    assert len(tree_facets) == len(index.tree) == len(t.simplices) - validate(t).components
     if n >= 2:
         ridge_ids = {f: i for i, f in enumerate(t.faces[n - 2])}
-        cleared = set(tree)
-        kept = [f for i, f in enumerate(t.faces[n - 1]) if i not in cleared]
+        kept = [f for f in t.faces[n - 1] if f not in tree_facets]
         assert smith_invariant_factors(_boundary_rows(kept, ridge_ids)) == (
             smith_invariant_factors(_boundary_rows(t.faces[n - 1], ridge_ids))
         )
@@ -485,12 +521,13 @@ def test_closed_top_factors_and_forest(t):
 def test_theta_suspension_has_facets_of_degree_three():
     t = _theta_suspension()
     assert dict(validate(t).bad_faces) == {(0, 5): 3, (0, 6): 3, (1, 5): 3, (1, 6): 3}
-    assert _closed_top(t.simplices, _facet_ids(t)) is None
-    assert homology(t) == HomologyProfile((1, 0, 2), ((), (), ()))
+    profile, rows = _factored_rows(t)
+    assert profile == HomologyProfile((1, 0, 2), ((), (), ()))
+    assert rows[2] == len(t.simplices)  # the top matrix is factored in full
 
 
 # ---------------------------------------------------------------------------
-# the signed forest shared by the facet index and both closed-form ends
+# the signed forest shared by the facet index and the 1-boundary
 
 
 @st.composite

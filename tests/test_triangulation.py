@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 import weakref
 from collections import Counter
 
@@ -464,18 +465,23 @@ def test_census_euler_and_homology_share_one_face_lattice(monkeypatch):
 
 def test_dual_graph_readers_share_one_facet_index(monkeypatch):
     builds = _count_builds(monkeypatch, tri, "_facet_index")
+    stars = _count_builds(monkeypatch, tri, "_stars")
     inputs = [cross_polytope_boundary(3), cross_polytope_boundary(3), torus7()]
     for t in inputs:
+        homology(t)
         validate(t)
         is_even_cyclic(t)
         orientability(t)
         dual_graph(t)
         hol_generators(t, reverse_neighbors=True)
-        link_loop_permutation(t, face_census(t).codim2_degrees[0][0])
+        assert "stars" not in vars(t)
+        for face, _degree in face_census(t).codim2_degrees[:3]:
+            link_loop_permutation(t, face)
         witness = is_colorable(t)
         if t.dimension == 3:
             gem_from_coloring(t, witness)
-    assert [id(t) for t in builds] == list(map(id, inputs))
+    # one build per object, also for two equal objects
+    assert [id(t) for t in builds] == [id(t) for t in stars] == list(map(id, inputs))
 
 
 def test_oracle_suites_build_one_facet_index_per_object(monkeypatch):
@@ -492,9 +498,14 @@ def test_derived_data_is_freed_with_its_triangulation():
     face_census(t)
     held = [t, t.facet_index, t.census, t.holonomy]
     refs = [weakref.ref(obj) for obj in held]
+    # a dict takes no weak reference; the triangulation holds the only other
+    # reference to its stars
+    stars = t.stars
+    count = sys.getrefcount(stars)
     del t, held
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+    assert sys.getrefcount(stars) == count - 1
 
 
 def test_derived_data_is_not_compared_or_hashed():
