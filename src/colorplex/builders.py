@@ -7,7 +7,7 @@ import math
 import operator
 
 from .errors import BudgetError
-from .triangulation import FACE_BUDGET, Triangulation, _check_face_budget
+from .triangulation import FACE_BUDGET, Triangulation, _check_face_budget, _faces
 
 
 def simplex_boundary(n: int) -> Triangulation:
@@ -90,7 +90,7 @@ def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, in
     """Barycentric subdivision plus its dimension colouring.
 
     New vertices correspond to the faces of ``t`` (ids assigned in order of
-    (face dimension, face), the order of the face lattice); the new
+    (face dimension, face)); the new
     simplices are the maximal chains f_0 < f_1 < ... < f_n of faces under
     inclusion.  The returned colouring maps each new vertex to 1 + dimension
     of its originating face, which is proper on the 1-skeleton because chain
@@ -98,7 +98,7 @@ def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, in
     raise BudgetError before any is built.
     """
     n = t.dimension
-    faces = [f for fs in t.faces for f in fs]
+    faces = [f for k in range(n) for f in _faces(t, k)] + list(t.simplices)
     chain_count = len(t.simplices) * math.factorial(n + 1)
     if chain_count > FACE_BUDGET:
         raise BudgetError(

@@ -263,9 +263,8 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
 
 def is_locally_colorable(t: Triangulation) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """True iff every codim-2 face has even degree (every dual 2-cell is even
-    sided); also returns the offending odd faces.  Vacuously true for n=1."""
-    if t.dimension == 1:
-        return True, ()
+    sided); also returns the offending odd faces.  Vacuously true for n=1,
+    whose census lists no codim-2 face."""
     odd = t.census.odd_faces
     return not odd, odd
 

@@ -61,7 +61,8 @@ the (n-1)-boundary of an n-boundary is zero, the row of e in the
 (n-1)-boundary is an integer combination of non-tree rows.  Subtracting it,
 for every tree facet at once, is a unimodular row operation that turns the
 tree rows into zero rows, so the invariant factors of the (n-1)-boundary
-are those of its non-tree rows.
+are those of its non-tree rows: the facets of the index's other pairs of
+slots.  The pairs also count the (n-1)-faces, which are never enumerated.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
-from .triangulation import Triangulation, _signed_forest
+from .triangulation import Triangulation, _faces, _signed_forest
 
 
 def _sparse(
@@ -262,32 +263,37 @@ def homology(t: Triangulation) -> HomologyProfile:
     each over the faces kept from the step above.  The k-faces that were
     unit-pivot columns of the (k+1)-boundary are left out of the
     k-boundary's rows, which keeps its invariant factors (see the module
-    docstring); the kept faces go one dimension down, no further.
+    docstring); the kept faces go one dimension down, no further.  Each
+    step enumerates the faces of its columns, and drops them once it has
+    kept its rows and counted them for the Betti numbers.
 
     The ends are in closed form.  When the facet index lists no facet of
     degree other than 2, the n-boundary's factors are read off its signed
     forest: one 1 per tree edge, and one 2 per tree unbalanced in the
-    orientation bit.  The facets of the tree edges are the rows left out of
-    the (n-1)-boundary: the boundary of the signed simplices below a tree
-    facet e in the forest is +-e plus non-tree facets, so e's row is a
-    combination of the others.  Any other top matrix, and every matrix in
-    the middle, goes through ``smith_invariant_factors``.  The 1-boundary's
-    factors are all 1, as many as the edges of a spanning forest of the
-    1-skeleton.
+    orientation bit.  The tree facets' rows are left out of the
+    (n-1)-boundary: the boundary of the signed simplices below a tree facet
+    e in the forest is +-e plus non-tree facets, so e's row is a combination
+    of the others.  The rows kept are the facets of the other pairs of
+    slots, and the pairs count the (n-1)-faces, which are never enumerated.
+    Any other top matrix, and every matrix in the middle, goes through
+    ``smith_invariant_factors``.  The 1-boundary's factors are all 1, as
+    many as the edges of a spanning forest of the 1-skeleton.
 
     Invariant: b_k = len(faces_k) - rank_k - rank_{k+1}, and the ranks cancel
     in the alternating sum, so that sum is the Euler characteristic whatever
     ranks the eliminations return; comparing the two would test nothing.
     """
     n = t.dimension
-    faces_by_dim = t.faces
 
     # factors[k] = invariant factors of the boundary map C_k -> C_{k-1}
     factors: list[list[int]] = [[] for _ in range(n + 2)]
-    kept = faces_by_dim[n]
+    sizes = [0] * n + [len(t.simplices)]  # the number of k-faces
+    kept: Iterable[tuple[int, ...]] = t.simplices
     for k in range(n, 0, -1):
         if k == 1:
-            vertex_ids = {f: i for i, f in enumerate(faces_by_dim[0])}
+            vertices = _faces(t, 0)
+            sizes[0] = len(vertices)
+            vertex_ids = {f: i for i, f in enumerate(vertices)}
             joined, _odd = _signed_forest(
                 len(vertex_ids), ((vertex_ids[(u,)], vertex_ids[(v,)], 0) for u, v in kept)
             )
@@ -295,26 +301,32 @@ def homology(t: Triangulation) -> HomologyProfile:
         elif k == n and not t.facet_index.bad_faces:
             index = t.facet_index
             factors[n] = [1] * len(index.tree) + [2] * sum(1 for bits in index.odd if bits & 2)
+            # every slot is paired: one facet per pair, the tree's left out
+            sizes[n - 1] = len(index.mates) // 2
             width = n + 1
-            tree_facets = set()
-            for x in index.tree:
-                a, i = divmod(x, width)
-                s = t.simplices[a]
-                tree_facets.add(s[:i] + s[i + 1 :])
-            kept = [f for f in faces_by_dim[n - 1] if f not in tree_facets]
-            del tree_facets  # not held while the matrices below are reduced
+            tree = set(index.tree)
+            kept = []
+            for x, y in enumerate(index.mates):
+                if x < y and x not in tree:
+                    a, i = divmod(x, width)
+                    s = t.simplices[a]
+                    kept.append(s[:i] + s[i + 1 :])
         else:
-            lower_index = {f: i for i, f in enumerate(faces_by_dim[k - 1])}
+            lower = _faces(t, k - 1)
+            sizes[k - 1] = len(lower)
             pivots: list[int] = []
-            factors[k] = smith_invariant_factors(_boundary_rows(kept, lower_index), pivots)
+            factors[k] = smith_invariant_factors(
+                _boundary_rows(kept, {f: i for i, f in enumerate(lower)}), pivots
+            )
             cleared = set(pivots)
-            kept = [f for i, f in enumerate(faces_by_dim[k - 1]) if i not in cleared]
+            kept = [f for i, f in enumerate(lower) if i not in cleared]
+            del lower  # dropped before the next dimension is enumerated
 
     betti = []
     torsion = []
     for k in range(n + 1):
         rank_k = len(factors[k])
         rank_k1 = len(factors[k + 1])
-        betti.append(len(faces_by_dim[k]) - rank_k - rank_k1)
+        betti.append(sizes[k] - rank_k - rank_k1)
         torsion.append(tuple(d for d in factors[k + 1] if d > 1))
     return HomologyProfile(betti=tuple(betti), torsion=tuple(torsion))

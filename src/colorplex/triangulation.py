@@ -4,37 +4,37 @@ A complex is stored as its simplicial triangulation: an ``n``-dimensional
 ``Triangulation`` lists the top simplices as (n+1)-element vertex sets.  The
 dual cell structure (regions at the vertices, one dual vertex per simplex,
 dual edges at the shared facets, dual 2-cells at the codimension-2 faces) is
-read off two indexes, each built on first use and then held by the
-triangulation as a cached property.  The face lattice ``Triangulation.faces``
-lists the faces of each dimension 0..n in sorted order, a face's position
-being its face id; the Euler characteristic, homology and barycentric
-subdivision read it.  It can be exponential in n, so it is built only within
-``FACE_BUDGET`` faces.  The facet index ``Triangulation.facet_index`` is the
-dual graph as a gluing table: one flat list of slots, slot a*(n+1)+i for the
+read off the facet index ``Triangulation.facet_index``, built on first use
+and then held by the triangulation as a cached property.  It is the dual
+graph as a gluing table: one flat list of slots, slot a*(n+1)+i for the
 facet that simplex a gets by dropping its vertex at position i, holding the
 slot of the other simplex with that facet, or -1.  It is the package's only
-pairing of facets.  Beside the slots the index keeps the facets not shared by
-exactly two simplices, and one signed spanning forest over the paired slots
-(``_signed_forest``): its edges, and per tree the bits in which the tree is
-unbalanced, from which the component count and the verdicts on bipartiteness
-and orientability are read.  Validation, the dual graph, both verdicts, the
-holonomy, the gem encoding and homology's closed-form top matrix read it;
-the facet table that pairs the slots is dropped once they are paired.  The
-vertex stars ``Triangulation.stars`` are a cached property of their own,
-built on first use by ``link_loop_permutation``, their only reader.
+pairing of facets.  Beside the slots
+the index keeps the facets not shared by exactly two simplices, and one
+signed spanning forest over the paired slots (``_signed_forest``): its
+edges, and per tree the bits in which the tree is unbalanced, from which the
+component count and the verdicts on bipartiteness and orientability are
+read.  Validation, the dual graph, both verdicts, the holonomy, the gem
+encoding and homology's closed-form top matrix read it; the facet table
+that pairs the slots is dropped once they are paired.  The vertex stars
+``Triangulation.stars`` are a cached property of their own, built on first
+use by ``link_loop_permutation``, their only reader.
 
-The face census counts faces under the same budget without building the
-lattice: the faces below codimension 2 as sets, the codim-2 faces with their
-degrees in one count, and the facets as the index's pairs of slots plus its
-bad faces.  The census and the default-tree holonomy data are held the same
-way as the indexes, so everything derived from a triangulation is built at
-most once per object and lives exactly as long as it.  ``dual_graph`` holds
-nothing: it lists the paired slots as edges on each call; nor does
-``homology``, which no caller computes twice for one triangulation (it reads
-the face lattice and the facet index).  Nothing is written after it is built
-and every function is pure, so concurrent use on shared inputs is safe; two
-threads that read a property first at the same time may both build it, with
-equal results.
+No face lattice is held: ``_faces(t, k)`` lists the k-faces, sorted (a
+face's position is its face id), for a reader to use and drop.  Faces can be
+exponential in n, so it first refuses any triangulation whose faces may
+exceed ``FACE_BUDGET``.  The face census counts the faces below codimension
+2 through it, the codim-2 faces with their degrees in a count of its own,
+and the facets as the index's pairs of slots plus its bad faces; the Euler
+characteristic is the alternating sum of its counts.  The census and the
+default-tree holonomy data are held like the indexes, so everything derived
+from a triangulation is built at most once per object and lives exactly as
+long as it.  ``dual_graph`` holds nothing: it lists the paired slots as
+edges on each call; nor do ``homology`` and barycentric subdivision, which
+no caller runs twice on one triangulation.  Nothing is written after it is
+built and every function is pure, so concurrent use on shared inputs is
+safe; two threads that read a property first at the same time may both
+build it, with equal results.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .errors import BudgetError, FormatError
 if TYPE_CHECKING:
     from .holonomy import HolonomyData
 
-# The most faces the face lattice may hold.  A closed n-dimensional complex
-# of N simplices has at most N * (2^(n+1) - 1) faces, so the lattice is
-# exponential in n; the bound is checked before anything is built.
+# The most faces, of all dimensions, a triangulation may have for any to be
+# enumerated.  N n-simplices have at most N * (2^(n+1) - 1) faces,
+# exponential in n; the bound is checked before anything is enumerated.
 FACE_BUDGET = 1 << 24
 
 
@@ -67,8 +67,7 @@ class Triangulation:
 
     The data derived from a triangulation are cached properties, built on
     first read and then held by the object: ``facet_index``, ``stars``,
-    ``faces``, ``census`` and ``holonomy``.  Equality and hashing ignore
-    them.
+    ``census`` and ``holonomy``.  Equality and hashing ignore them.
     """
 
     dimension: int
@@ -110,14 +109,6 @@ class Triangulation:
         """Each vertex's star: the ascending ids of the simplices containing
         it."""
         return _stars(self)
-
-    @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The face lattice: the faces of dimension 0..n, one sorted tuple per
-        dimension; a face's position in its tuple is its face id.  Raises
-        BudgetError, before building, when it may exceed FACE_BUDGET faces."""
-        _check_face_budget(self.dimension, len(self.simplices))
-        return _faces(self)
 
     @cached_property
     def census(self) -> FaceCensus:
@@ -432,21 +423,18 @@ class FaceCensus:
         }
 
 
-def _faces(t: Triangulation) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    below = tuple(
-        tuple(sorted(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1))))))
-        for k in range(t.dimension)
-    )
-    return below + (t.simplices,)
+def _faces(t: Triangulation, k: int) -> list[tuple[int, ...]]:
+    """The k-faces of ``t``, sorted: a face's position is its face id.
+    Raises BudgetError, before enumerating, when ``t`` may have more than
+    FACE_BUDGET faces."""
+    _check_face_budget(t.dimension, len(t.simplices))
+    return sorted(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1)))))
 
 
 def _census(t: Triangulation) -> FaceCensus:
     n = t.dimension
     _check_face_budget(n, len(t.simplices))
-    counts = [
-        len(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1)))))
-        for k in range(n - 2)
-    ]
+    counts = [len(_faces(t, k)) for k in range(n - 2)]
     codim2 = ()
     if n >= 2:
         degree = Counter(chain.from_iterable(map(combinations, t.simplices, repeat(n - 1))))
@@ -465,7 +453,7 @@ def face_census(t: Triangulation) -> FaceCensus:
 
 
 def euler_characteristic(t: Triangulation) -> int:
-    return sum(len(fs) if k % 2 == 0 else -len(fs) for k, fs in enumerate(t.faces))
+    return sum(c if k % 2 == 0 else -c for k, c in enumerate(t.census.counts))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from colorplex.homology import (
     _sparse,
 )
 from colorplex.triangulation import Triangulation, _signed_forest
+from face_sets import set_faces
 
 
 def _dense(rows):
@@ -294,8 +295,8 @@ def test_subdivision_preserves_invariants():
 def _reference_homology(t):
     """Homology from every full boundary matrix, bottom up, with no row
     cleared: the reference for the top-down reduction in ``homology``."""
-    faces = t.faces
     n = t.dimension
+    faces = [set_faces(t, k) for k in range(n + 1)]
     factors = [[] for _ in range(n + 2)]
     for k in range(1, n + 1):
         lower_index = {f: i for i, f in enumerate(faces[k - 1])}
@@ -346,7 +347,7 @@ def _pure_complexes(draw):
 
 
 def _facet_ids(t):
-    return {f: i for i, f in enumerate(t.faces[t.dimension - 1])}
+    return {f: i for i, f in enumerate(set_faces(t, t.dimension - 1))}
 
 
 def _factored_rows(t):
@@ -483,7 +484,7 @@ def test_homology_of_closed_pseudomanifolds_matches_full_boundary_matrices(t):
     assert profile == _reference_homology(t)
     n = t.dimension
     if n >= 3:  # below, the (n-1)-boundary is a graph rank
-        assert rows[n - 1] == len(t.faces[n - 1]) - (len(t.simplices) - validate(t).components)
+        assert rows[n - 1] == len(set_faces(t, n - 1)) - (len(t.simplices) - validate(t).components)
 
 
 def _slot_facet(t, x):
@@ -511,10 +512,11 @@ def test_facet_index_forest_gives_top_factors_and_cleared_rows(t):
     tree_facets = {_slot_facet(t, x) for x in index.tree}
     assert len(tree_facets) == len(index.tree) == len(t.simplices) - validate(t).components
     if n >= 2:
-        ridge_ids = {f: i for i, f in enumerate(t.faces[n - 2])}
-        kept = [f for f in t.faces[n - 1] if f not in tree_facets]
+        ridge_ids = {f: i for i, f in enumerate(set_faces(t, n - 2))}
+        facets = set_faces(t, n - 1)
+        kept = [f for f in facets if f not in tree_facets]
         assert smith_invariant_factors(_boundary_rows(kept, ridge_ids)) == (
-            smith_invariant_factors(_boundary_rows(t.faces[n - 1], ridge_ids))
+            smith_invariant_factors(_boundary_rows(facets, ridge_ids))
         )
 
 
@@ -524,6 +526,29 @@ def test_theta_suspension_has_facets_of_degree_three():
     profile, rows = _factored_rows(t)
     assert profile == HomologyProfile((1, 0, 2), ((), (), ()))
     assert rows[2] == len(t.simplices)  # the top matrix is factored in full
+
+
+def test_closed_homology_never_enumerates_the_facets(monkeypatch):
+    """Each dimension is enumerated once, top down, when its step reaches
+    it.  On a closed input the rows kept in the (n-1)-boundary are the
+    facets of the facet index's non-tree slots, so the (n-1)-faces are never
+    enumerated; with a bad facet the top matrix is factored over them."""
+    module = importlib.import_module("colorplex.homology")
+    asked = []
+    enumerate_faces = module._faces
+    monkeypatch.setattr(module, "_faces", lambda t, k: asked.append(k) or enumerate_faces(t, k))
+    closed = [t for t in _duality_inputs() if t.dimension >= 2]
+    closed += [RP2_AND_RP2, RP2_WEDGE_TORUS, SIGMA_RP2_AND_SPHERE]
+    not_closed = [
+        _theta_suspension(),
+        Triangulation.from_simplices(2, torus7().simplices[1:]),
+        _thickened(rp2_6()),
+    ]
+    for inputs, top in ((closed, 2), (not_closed, 1)):
+        for t in inputs:
+            asked.clear()
+            homology(t)
+            assert asked == list(range(t.dimension - top, -1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import sys
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from colorplex import (
     FormatError,
     Triangulation,
     barycentric_subdivide,
+    defect_graphs,
     dual_graph,
     euler_characteristic,
     face_census,
@@ -19,6 +21,7 @@ from colorplex import (
     homology,
     is_colorable,
     is_even_cyclic,
+    is_locally_colorable,
     link_loop_permutation,
     orientability,
     parse_triangulation,
@@ -32,6 +35,7 @@ from colorplex.builders import circle, cross_polytope_boundary
 from colorplex.homology import _boundary_rows, smith_invariant_factors
 from colorplex.oracles import SUITE_NAMES, run_suite, seeded_refinements
 from colorplex import triangulation as tri
+from face_sets import set_faces
 
 TETRA_TEXT = """\
 # boundary of the 3-simplex
@@ -128,6 +132,14 @@ TWO_SPHERES = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
 # and 1 to the apexes 5 and 6 lie in three triangles
 THETA_SUSPENSION = [e + (v,) for e in ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4))
                     for v in (5, 6)]
+# the barycentric 2-sphere with two far-apart vertices identified (as vertex
+# 0): closed and dual-connected, but vertex 0's star is two cones
+PINCHED_SPHERE = [
+    (0, 1, 7), (0, 1, 8), (0, 2, 7), (0, 2, 9), (0, 3, 8), (0, 3, 9), (0, 4, 10), (0, 4, 11),
+    (0, 5, 10), (0, 5, 12), (0, 6, 11), (0, 6, 12), (1, 4, 10), (1, 4, 11), (1, 7, 10),
+    (1, 8, 11), (2, 5, 10), (2, 5, 12), (2, 7, 10), (2, 9, 12), (3, 6, 11), (3, 6, 12),
+    (3, 8, 11), (3, 9, 12),
+]
 BOOK = [(1, 2, v) for v in range(3, 8)]  # five pages: the facet (1, 2) of degree 5
 
 
@@ -240,18 +252,25 @@ def test_census_matches_the_face_lattice_and_a_coface_count():
     ]
     for t in inputs:
         census = face_census(t)
-        assert census.counts == tuple(map(len, t.faces))
-        codim2 = t.faces[t.dimension - 2] if t.dimension >= 2 else ()
+        assert census.counts == tuple(len(set_faces(t, k)) for k in range(t.dimension + 1))
+        codim2 = set_faces(t, t.dimension - 2) if t.dimension >= 2 else ()
         cofaces = tuple(
             (f, sum(set(f) <= set(s) for s in t.simplices)) for f in codim2
         )
         assert census.codim2_degrees == cofaces
 
 
-def test_census_leaves_the_face_lattice_unbuilt():
+def test_census_leaves_the_face_lattice_unbuilt(monkeypatch):
+    """The census enumerates the faces below codimension 2 only: it counts
+    the codim-2 faces with their degrees and the facets off the facet
+    index."""
+    asked = []
+    enumerate_faces = tri._faces
+    monkeypatch.setattr(tri, "_faces", lambda t, k: asked.append(k) or enumerate_faces(t, k))
     t = cross_polytope_boundary(4)
     assert face_census(t).counts == (10, 40, 80, 80, 32)
-    assert "faces" not in vars(t)
+    assert asked == [0, 1]
+    assert set(vars(t)) == {"dimension", "simplices", "facet_index", "census"}
 
 
 def test_incidence_count_is_twice_facet_count():
@@ -364,7 +383,7 @@ def test_orientability_matches_top_homology():
     # simplex's row shares no code with the signed forest, which decides
     # both orientability and homology's H_n
     for t in _examples_and_subdivisions() + _unions_both_orders():
-        facet_ids = {f: i for i, f in enumerate(t.faces[t.dimension - 1])}
+        facet_ids = {f: i for i, f in enumerate(set_faces(t, t.dimension - 1))}
         factors = smith_invariant_factors(_boundary_rows(t.simplices, facet_ids))
         assert set(factors) <= {1, 2}
         assert orientability(t) == (2 not in factors)
@@ -403,12 +422,13 @@ def test_euler_characteristic_values():
 
 
 def test_face_lattice_matches_a_set_enumeration():
-    for t in _examples_and_subdivisions():
-        expected = tuple(
-            tuple(sorted({f for s in t.simplices for f in itertools.combinations(s, k + 1)}))
-            for k in range(t.dimension + 1)
-        )
-        assert t.faces == expected
+    inputs = _examples_and_subdivisions() + [
+        Triangulation.from_simplices(2, simplices)
+        for simplices in (OPEN_DISK, BRANCHING, TWO_SPHERES, THETA_SUSPENSION, PINCHED_SPHERE)
+    ]
+    for t in inputs:
+        for k in range(t.dimension + 1):
+            assert tri._faces(t, k) == set_faces(t, k)
 
 
 def _subdivision_by_sorted_prefixes(t):
@@ -449,18 +469,30 @@ def _count_builds(monkeypatch, module, name):
     return calls
 
 
-def test_census_euler_and_homology_share_one_face_lattice(monkeypatch):
-    lattices = _count_builds(monkeypatch, tri, "_faces")
+def test_census_readers_share_one_census(monkeypatch):
     censuses = _count_builds(monkeypatch, tri, "_census")
-    inputs = [cross_polytope_boundary(3), cross_polytope_boundary(3), torus7()]
+    inputs = [cross_polytope_boundary(3), cross_polytope_boundary(3), simplex_boundary(3)]
     for t in inputs:
         face_census(t)
         euler_characteristic(t)
-        homology(t)
-        barycentric_subdivide(t)
+        is_locally_colorable(t)
+        defect_graphs(t)
         face_census(t)
     # one build per object, also for two equal objects
-    assert [id(t) for t in lattices] == [id(t) for t in censuses] == list(map(id, inputs))
+    assert [id(t) for t in censuses] == list(map(id, inputs))
+
+
+def test_homology_and_subdivision_hold_nothing_but_the_facet_index():
+    inputs = _examples_and_subdivisions() + [
+        Triangulation.from_simplices(2, simplices) for simplices in (OPEN_DISK, THETA_SUSPENSION)
+    ]
+    for t in inputs:
+        homology(t)
+        barycentric_subdivide(t)
+        # beside the two fields; a 1-complex's homology is a graph rank,
+        # read without the index
+        held = {"facet_index"} if t.dimension >= 2 else set()
+        assert set(vars(t)) == {"dimension", "simplices"} | held
 
 
 def test_dual_graph_readers_share_one_facet_index(monkeypatch):
@@ -533,10 +565,14 @@ def test_face_budget_admits_its_bound_and_refuses_past_it():
 
 def test_face_lattice_over_budget_is_refused_before_it_is_built(monkeypatch):
     builds = []
-    # never the real builder: without the budget it would exhaust memory here
-    monkeypatch.setattr(tri, "_faces", builds.append)
+    # the enumerator and the census's codim-2 count chain their faces; never
+    # the real chain: without the budget it would exhaust memory here
+    monkeypatch.setattr(tri, "chain", SimpleNamespace(from_iterable=builds.append))
     # one 24-simplex has 2^25 - 1 faces
     t = Triangulation.from_simplices(24, [range(25)])
+    for k in range(25):
+        with pytest.raises(BudgetError, match="face budget"):
+            tri._faces(t, k)
     for read in (face_census, euler_characteristic, homology, barycentric_subdivide):
         with pytest.raises(BudgetError, match="face budget"):
             read(t)
