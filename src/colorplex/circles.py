@@ -105,13 +105,21 @@ class CircleLayers:
         """Boundary points in the order a forward sweep from 0+ crosses them:
         (position, layer, point index); position 0 is crossed last, at C.
         Sorted once per object: the holonomy, the coloring and the
-        intersections all walk it."""
+        intersections all walk it.
+
+        The sort key is (floor(p * 2^64), p).  The floor is a monotone
+        integer image of p, so it never puts two positions out of order,
+        and it compares in C; only positions less than 2^-64 apart share
+        it, and those fall back to the exact Fraction comparison.  The
+        positions are distinct, so no two keys are equal.  A float key
+        would not do: it loses order below its precision and overflows for
+        circumferences above about 1.8e308."""
         events = []
         for li, points in enumerate(self.layers, start=1):
             for k, p in enumerate(points):
-                effective = p if p > 0 else self.circumference
-                events.append((effective, li, k))
-        events.sort()
+                # positions lie in [0, C), so p is falsy exactly at 0
+                events.append((p or self.circumference, li, k))
+        events.sort(key=lambda e: ((e[0].numerator << 64) // e[0].denominator, e[0]))
         return tuple(events)
 
 

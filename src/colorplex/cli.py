@@ -208,8 +208,9 @@ def _run_triangulation_command(args):
     if cmd == "homology":
         profile = homology(t)
         doc = profile.to_json()
-        doc["euler"] = euler_characteristic(t)
-        doc["betti_alternating_sum"] = profile.betti_alternating_sum()
+        # the Betti numbers' alternating sum is chi, so no face census is built
+        doc["euler"] = profile.betti_alternating_sum()
+        doc["betti_alternating_sum"] = doc["euler"]
         return doc, source
     if cmd == "holonomy":
         from .holonomy import holonomy_invariants

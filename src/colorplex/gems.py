@@ -11,15 +11,18 @@ the Euler characteristic.
 The analysis reads one table per gem, built on first use and kept on it as
 ``Gem.mate_table``: the sorted vertices and, per color c, a flat list whose
 entry k is the position of the c-neighbour of vertex k.  A bicolored cycle
-is a walk along two of these lists; a residue's components and its simple
-adjacency lists come from three.
+is a walk along two of these lists.  Three of them, zipped, are the
+neighbour sequences of a 3-color subgraph, a parallel edge repeating its
+neighbour.
 
-Each residue's planarity is decided by ``_lr_planar``, the left-right test of
-Brandes, "The Left-Right Planarity Test" (2009), after de Fraysseix, Ossona
-de Mendez and Rosenstiehl, "Trémaux trees and planarity" (IJFCS 2006), on
-adjacency lists numbered 0..n-1.  Only the verdict is computed: no embedding
-is built.  ``is_planar_multigraph`` is the same test on any vertex and edge
-lists: it numbers the vertices and drops loops and parallel edges first.
+``_lr_planar`` decides the planarity of every component of such a subgraph
+in one call, one verdict per residue in order of least vertex.  It is the
+left-right test of Brandes, "The Left-Right Planarity Test" (2009), after de
+Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux trees and planarity"
+(IJFCS 2006), on neighbour sequences numbered 0..n-1, and it computes only
+the verdict: no embedding is built.  ``is_planar_multigraph`` is the same
+test on any vertex and edge lists: it numbers the vertices, drops loops and
+parallel edges, and applies the Euler bound before the test.
 """
 
 from __future__ import annotations
@@ -197,34 +200,12 @@ def _cycle_lengths(mate_a: list[int], mate_b: list[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _residues(mate_a: list[int], mate_b: list[int], mate_c: list[int]):
-    """The components of the subgraph on three colors, by least vertex, each
-    as simple adjacency lists on 0..m-1 (parallel edges dropped), read off
-    the three mate lists in one breadth-first search per component."""
-    local = [-1] * len(mate_a)
-    for start in range(len(mate_a)):
-        if local[start] >= 0:
-            continue
-        local[start] = 0
-        members = [start]
-        adj = []
-        for k in members:  # grows while it is read
-            for x in (mate_a[k], mate_b[k], mate_c[k]):
-                if local[x] < 0:
-                    local[x] = len(members)
-                    members.append(x)
-            p, q, r = local[mate_a[k]], local[mate_b[k]], local[mate_c[k]]
-            if p == q:
-                adj.append([p] if p == r else [p, r])
-            else:
-                adj.append([p, q] if r == p or r == q else [p, q, r])
-        yield adj
-
-
 def is_planar_multigraph(vertices, edges) -> bool:
     """Exact planarity of the graph on ``vertices`` with ``edges`` given as
-    (u, v, ...) tuples; loops and parallel edges never change the verdict,
-    so they are dropped before ``_lr_planar`` decides."""
+    (u, v, ...) tuples.  Loops and parallel edges never change the verdict,
+    so they are dropped first; a simple graph with V > 2 and E > 3V - 6 is
+    not planar (Euler), and otherwise ``_lr_planar`` decides each
+    component."""
     index: dict = {}
     for v in vertices:
         index.setdefault(v, len(index))
@@ -234,38 +215,43 @@ def is_planar_multigraph(vertices, edges) -> bool:
         b = index.setdefault(v, len(index))
         if a != b:
             pairs.add((a, b) if a < b else (b, a))
-    adj: list[list[int]] = [[] for _ in range(len(index))]
+    n = len(index)
+    if n > 2 and len(pairs) > 3 * n - 6:
+        return False
+    adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    return _lr_planar(adj)
+    return all(_lr_planar(adj))
 
 
-def _lr_planar(adj: list[list[int]]) -> bool:
-    """Planarity of the simple graph with adjacency lists ``adj`` on
-    vertices 0..n-1 (no loops, each edge listed once at each end), by the
-    left-right test reduced to its verdict:
+def _lr_planar(adj) -> list[bool]:
+    """Planarity of each component of the loopless graph whose neighbour
+    sequences are ``adj`` on vertices 0..n-1, in order of least vertex.  A
+    neighbour may repeat: each repeat is one more parallel edge.  Each
+    verdict comes from the left-right test, reduced to its verdict:
 
-    1. a graph with V > 2 and E > 3V - 6 is not planar (Euler);
-    2. a DFS orients every edge away from the root, tree edges down and back
+    1. a DFS orients every edge away from the root, tree edges down and back
        edges up, and computes each edge's ``lowpt``, ``lowpt2`` and nesting
-       depth;
-    3. each vertex's out-edges are sorted by nesting depth;
-    4. a second DFS keeps a stack of conflict pairs of return-edge
-       intervals: ``add_constraints`` merges the intervals of each out-edge
-       after the first, and fails when a pair conflicts on both sides;
-       ``remove_back_edges`` drops the return edges that end at the parent,
-       trimming intervals along ``ref``.
+       depth.  A parallel copy of a tree edge is dropped, since it is a
+       cycle of length 2 and never changes planarity; parallel back edges
+       stay, as return edges with equal lowpoints, which never conflict
+       with each other;
+    2. each vertex's out-edges are sorted by nesting depth;
+    3. a second DFS, from each root on a fresh stack of conflict pairs of
+       return-edge intervals: ``add_constraints`` merges the intervals of
+       each out-edge after the first, and fails when a pair conflicts on
+       both sides; ``remove_back_edges`` drops the return edges that end at
+       the parent, trimming intervals along ``ref``.
 
-    The graph is planar iff step 4 never fails.  No embedding is built: the
-    ``side`` signs and the edge ordering of the full algorithm are skipped,
-    because only the verdict is read.  Both passes are iterative, so DFS
-    depth is not bounded by the recursion limit; per-edge data lives in flat
-    lists indexed by edge id.
+    A component is planar iff step 3 never fails on it.  No embedding is
+    built: the ``side`` signs and the edge ordering of the full algorithm
+    are skipped, because only the verdict is read.  Both passes are
+    iterative, so DFS depth is not bounded by the recursion limit; per-edge
+    data lives in flat lists indexed by edge id.  The Euler bound is left to
+    the caller: the 3-regular residues of a gem never exceed it.
     """
     n = len(adj)
-    if n > 2 and sum(map(len, adj)) > 2 * (3 * n - 6):
-        return False
 
     # orientation: edge ei runs src[ei] -> dst[ei]
     height = [-1] * n
@@ -411,7 +397,9 @@ def _lr_planar(adj: list[list[int]]) -> bool:
                 p[2] = None
 
     pos = [0] * n
-    for root in roots:
+
+    def planar_from(root):
+        stack_pairs.clear()
         stack = [root]
         while stack:
             v = stack.pop()
@@ -443,7 +431,9 @@ def _lr_planar(adj: list[list[int]]) -> bool:
                 i += 1
             if not descended and e >= 0:
                 remove_back_edges(e)
-    return True
+        return True
+
+    return [planar_from(root) for root in roots]
 
 
 @dataclass(frozen=True)
@@ -506,7 +496,7 @@ def gem_report(g: Gem) -> GemReport:
     cycle_lengths = tuple(((a, b), _cycle_lengths(mate[a], mate[b])) for a, b in pairs)
     triple_components = []
     for a, b, c in itertools.combinations(range(1, 5), 3):
-        flags = tuple(_lr_planar(adj) for adj in _residues(mate[a], mate[b], mate[c]))
+        flags = tuple(_lr_planar(list(zip(mate[a], mate[b], mate[c]))))
         triple_components.append(((a, b, c), len(flags), flags))
     return GemReport(len(mate[1]), len(g.edges), cycle_lengths, tuple(triple_components))
 

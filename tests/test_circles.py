@@ -217,3 +217,49 @@ def test_intersections_over_the_face_budget_raise_before_the_walk(monkeypatch):
     for j in (18, 20, 64):
         with pytest.raises(BudgetError, match="face budget"):
             circle_intersections(_two_point_layers(j))
+
+
+def _clustered_layers(rng, circumference):
+    """Up to 3 layers whose points come in clusters of up to 4 positions
+    2^-70 apart, so that neighbours agree in their first 64 binary places;
+    position 0 is in the pool half of the time."""
+    tiny = F(1, 2**70)
+    centres = rng.sample(range(1, 50), 6)
+    pool = [circumference * F(c, 50) + k * tiny for c in centres for k in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        pool.append(F(0))
+    rng.shuffle(pool)
+    j = rng.randint(1, min(3, len(pool) // 2))
+    layers = [pool[2 * i : 2 * i + 2] for i in range(j)]
+    for p in pool[2 * j :]:
+        rng.choice(layers).append(p)
+    return CircleLayers(circumference, tuple(tuple(sorted(layer)) for layer in layers))
+
+
+@pytest.mark.parametrize("circumference", [F(7, 3), F(10**400)])
+def test_sweep_order_is_the_exact_sort_of_its_positions(circumference):
+    """The sweep order is plain ``sorted()`` on the Fraction events, forward
+    and reversed, also for positions closer than 2^-64 and for a
+    circumference no float can hold.  The holonomy both ways, the coloring
+    and the intersections equal those of the copy with each position
+    replaced by its rank, whose integer positions sort on their own."""
+    rng = random.Random(31)
+    for _ in range(25):
+        cl = _clustered_layers(rng, circumference)
+        events = [
+            (p if p > 0 else circumference, li, k)
+            for li, points in enumerate(cl.layers, start=1)
+            for k, p in enumerate(points)
+        ]
+        assert cl.sweep_order == tuple(sorted(events))
+        assert cl.sweep_order[::-1] == tuple(sorted(events, reverse=True))
+        positions = sorted(p for layer in cl.layers for p in layer)
+        assert min(b - a for a, b in zip(positions, positions[1:])) < F(1, 2**64)
+        shift = positions[0] != 0  # a point at 0 stays there, crossed last
+        rank = {p: F(r + shift) for r, p in enumerate(positions)}
+        layers = tuple(tuple(map(rank.get, layer)) for layer in cl.layers)
+        ranked = CircleLayers(F(len(positions) + 1), layers)
+        for reverse in (False, True):
+            assert circle_holonomy(cl, reverse=reverse) == circle_holonomy(ranked, reverse=reverse)
+        assert circle_colorable(cl) == circle_colorable(ranked)
+        assert circle_intersections(cl) == circle_intersections(ranked)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import colorplex
-from colorplex import cli, holonomy, parse_triangulation
+from colorplex import cli, holonomy, parse_triangulation, triangulation
 
 TETRA = "dim 2\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 OPEN_DISK = "dim 2\n0 1 2\n0 1 3\n0 2 3\n"
@@ -342,6 +342,20 @@ def test_hol_generators_runs_once_per_invocation(capsys, monkeypatch, args):
     monkeypatch.setattr(holonomy, "hol_generators", counting)
     run_in_process(capsys, *args)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("example, euler", [("torus7", 0), ("rp2_6", 1), ("simplex_boundary:4", 2)])
+def test_homology_command_prints_euler_without_a_face_census(capsys, monkeypatch, example, euler):
+    """``euler`` is the Betti numbers' alternating sum, so the command never
+    builds ``t.census``."""
+
+    def refused(t):
+        raise AssertionError("face census built")
+
+    monkeypatch.setattr(triangulation, "_census", refused)
+    code, doc = run_in_process(capsys, "homology", "--example", example)
+    assert code == 0
+    assert doc["result"]["euler"] == doc["result"]["betti_alternating_sum"] == euler
 
 
 # the boundary of the 25-simplex: 26 lines after the header, a valid closed

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import colorplex
@@ -24,6 +24,7 @@ from colorplex import (
 )
 from colorplex.builders import cross_polytope_boundary, simplex_boundary
 from colorplex.errors import FormatError
+from colorplex.gems import _lr_planar
 from colorplex.triangulation import Triangulation
 from colorplex.oracles import random_gem
 from gem_residues import subgraph_components
@@ -272,6 +273,62 @@ def _networkx_planar(vertices, edges):
 def test_planarity_matches_networkx_on_random_multigraphs(graph):
     n, edges = graph
     assert is_planar_multigraph(range(n), edges) == _networkx_planar(range(n), edges)
+
+
+# disjoint parts, each (vertex count, edges (u, v, copies)); loops are skipped
+_MULTIGRAPH_PARTS = st.lists(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+                max_size=24,
+            ),
+        )
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MULTIGRAPH_PARTS, st.randoms(use_true_random=False))
+@example(
+    [
+        (3, [(0, 1, 3), (1, 2, 3), (2, 0, 3)]),  # a tripled triangle: three parallel back edges
+        (6, [(a, b, 2) for a in range(3) for b in range(3, 6)]),  # K3,3, every edge doubled
+        (4, [(a, b, 2) for a, b in itertools.combinations(range(4), 2)]),  # K4 doubled
+        # K5 doubled: any DFS of K5 is a path, with back edges to grandparents
+        (5, [(a, b, 2) for a, b in itertools.combinations(range(5), 2)]),
+    ],
+    random.Random(0),
+)
+def test_lr_planar_decides_each_component_of_a_multigraph(parts, rng):
+    """Neighbour sequences that repeat a neighbour, once per parallel edge,
+    tree or back, get one verdict per component, by least vertex, and each
+    is networkx's verdict on that component.  The parts' vertices are
+    shuffled together, and so is each neighbour sequence."""
+    import networkx as nx
+
+    total = sum(n for n, _edges in parts)
+    labels = list(range(total))
+    rng.shuffle(labels)
+    adj: list[list[int]] = [[] for _ in range(total)]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(total))
+    offset = 0
+    for n, edges in parts:
+        for u, v, copies in edges:
+            a, b = labels[offset + u], labels[offset + v]
+            if a != b:
+                adj[a] += [b] * copies
+                adj[b] += [a] * copies
+                graph.add_edge(a, b)
+        offset += n
+    for row in adj:
+        rng.shuffle(row)
+    comps = sorted(nx.connected_components(graph), key=min)
+    assert _lr_planar(adj) == [nx.check_planarity(graph.subgraph(comp))[0] for comp in comps]
 
 
 @settings(max_examples=60, deadline=None)
