@@ -15,12 +15,13 @@ is a walk along two of these lists.  Three of them, zipped, are the
 neighbour sequences of a 3-color subgraph, a parallel edge repeating its
 neighbour.
 
-``_lr_planar`` decides the planarity of every component of such a subgraph
-in one call, one verdict per residue in order of least vertex.  It is the
+``_lr_planar`` decides the planarity of every component of such a subgraph in
+one call, one verdict per residue in order of least vertex.  It is the
 left-right test of Brandes, "The Left-Right Planarity Test" (2009), after de
 Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux trees and planarity"
-(IJFCS 2006), on neighbour sequences numbered 0..n-1, and it computes only
-the verdict: no embedding is built.  ``is_planar_multigraph`` is the same
+(IJFCS 2006), on neighbour sequences numbered 0..n-1, reduced to the verdict.
+Its DFS frames hold iterators, lowpoints fold into parent edges inline, and
+out lists of one edge stay unsorted.  ``is_planar_multigraph`` is the same
 test on any vertex and edge lists: it numbers the vertices, drops loops and
 parallel edges, and applies the Euler bound before the test.
 """
@@ -231,13 +232,16 @@ def _lr_planar(adj) -> list[bool]:
     neighbour may repeat: each repeat is one more parallel edge.  Each
     verdict comes from the left-right test, reduced to its verdict:
 
-    1. a DFS orients every edge away from the root, tree edges down and back
-       edges up, and computes each edge's ``lowpt``, ``lowpt2`` and nesting
-       depth.  A parallel copy of a tree edge is dropped, since it is a
-       cycle of length 2 and never changes planarity; parallel back edges
-       stay, as return edges with equal lowpoints, which never conflict
-       with each other;
-    2. each vertex's out-edges are sorted by nesting depth;
+    1. one DFS loop orients every edge away from the root, tree edges down
+       and back edges up, and computes each edge's ``lowpt``, ``lowpt2``
+       and nesting depth.  A back edge v -> w is final when it is made
+       (lowpt height(w), lowpt2 height(v), depth 2 height(w)) and is folded
+       into the parent edge of v at once; a tree edge is finished, and
+       folded into its source's parent edge, when its child is popped.  A
+       parallel copy of a tree edge, a 2-cycle, never changes planarity and
+       is dropped; parallel back edges stay, as return edges with equal
+       lowpoints, which never conflict with each other;
+    2. each vertex's out-edges are sorted by nesting depth, unless one;
     3. a second DFS, from each root on a fresh stack of conflict pairs of
        return-edge intervals: ``add_constraints`` merges the intervals of
        each out-edge after the first, and fails when a pair conflicts on
@@ -247,85 +251,87 @@ def _lr_planar(adj) -> list[bool]:
     A component is planar iff step 3 never fails on it.  No embedding is
     built: the ``side`` signs and the edge ordering of the full algorithm
     are skipped, because only the verdict is read.  Both passes are
-    iterative, so DFS depth is not bounded by the recursion limit; per-edge
-    data lives in flat lists indexed by edge id.  The Euler bound is left to
-    the caller: the 3-regular residues of a gem never exceed it.
+    iterative, each frame a vertex and an iterator over its neighbours or
+    out-edges, so DFS depth is not bounded by the recursion limit.  The
+    Euler bound is left to the caller: the 3-regular residues of a gem never
+    exceed it.
     """
     n = len(adj)
 
-    # orientation: edge ei runs src[ei] -> dst[ei]
-    height = [-1] * n
+    # orientation: ei runs to dst[ei] from the vertex whose out list holds
+    # it.  Unvisited vertices have height -2, below hv - 1 at any visited v.
+    # The current frame is v, it, hv; the stack holds the ancestors' v, it
+    height = [-2] * n
     parent_edge = [-1] * n
+    low2 = [0] * n  # lowpt2 of the tree edge into each vertex
     out: list[list[int]] = [[] for _ in range(n)]
-    src, dst, lowpt, lowpt2, depth = [], [], [], [], []  # indexed by edge id
-    roots = []
-
-    def finish(ei, v):
-        """Nesting depth of ei = (v, w) once its lowpoints are final, then
-        fold them into the parent edge of v."""
-        low = lowpt[ei]
-        depth[ei] = 2 * low + (lowpt2[ei] < height[v])
-        e = parent_edge[v]
-        if e >= 0:
-            if low < lowpt[e]:
-                lowpt2[e] = min(lowpt[e], lowpt2[ei])
-                lowpt[e] = low
-            elif low > lowpt[e]:
-                lowpt2[e] = min(lowpt2[e], low)
-            else:
-                lowpt2[e] = min(lowpt2[e], lowpt2[ei])
-
-    pos = [0] * n
+    dst, lowpt, depth, roots = [], [], [], []  # the first three by edge id
     for root in range(n):
         if height[root] >= 0:
             continue
         height[root] = 0
         roots.append(root)
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            hv = height[v]
-            nbrs = adj[v]
-            i = pos[v]
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
+        v, it, hv, stack = root, iter(adj[root]), 0, []
+        while True:
+            for w in it:
                 hw = height[w]
-                # a visited neighbour is the parent, or a descendant that
-                # has already oriented the edge as its back edge
-                if hw >= 0 and hw >= hv - 1:
+                # a visited neighbour at height hv - 1 or more is the parent, or
+                # a descendant that has already oriented the edge as its back edge
+                if hw >= hv - 1:
                     continue
-                ei = len(src)
-                src.append(v)
+                ei = len(dst)
                 dst.append(w)
                 out[v].append(ei)
-                lowpt2.append(hv)
-                depth.append(0)
                 if hw < 0:
                     lowpt.append(hv)
+                    low2[w] = hv
+                    depth.append(0)
                     parent_edge[w] = ei
                     height[w] = hv + 1
-                    stack.append(w)
+                    stack += v, it
+                    v, it, hv = w, iter(adj[w]), hv + 1
                     break
+                # a back edge; the parent edge e has lowpt and lowpt2 below hv
                 lowpt.append(hw)
-                finish(ei, v)
-            pos[v] = i
-            if stack[-1] == v:
-                stack.pop()
+                depth.append(2 * hw)
                 e = parent_edge[v]
-                if e >= 0:
-                    finish(e, src[e])
+                if hw < lowpt[e]:
+                    low2[v] = lowpt[e]
+                    lowpt[e] = hw
+                elif lowpt[e] < hw < low2[v]:
+                    low2[v] = hw
+            else:
+                # v is done: finish its parent edge e, fold it into the parent's
+                if not stack:
+                    break
+                e = parent_edge[v]
+                low, l2 = lowpt[e], low2[v]
+                it = stack.pop()
+                v = stack.pop()
+                hv -= 1
+                depth[e] = 2 * low + (l2 < hv)
+                f = parent_edge[v]
+                if f < 0:
+                    continue
+                lf = lowpt[f]
+                if low < lf:
+                    low2[v] = lf if lf < l2 else l2
+                    lowpt[f] = low
+                elif lf < low < low2[v]:
+                    low2[v] = low
+                elif low == lf and l2 < low2[v]:
+                    low2[v] = l2
 
     for ol in out:
-        ol.sort(key=depth.__getitem__)
+        if len(ol) > 1:
+            ol.sort(key=depth.__getitem__)
 
     # testing: a conflict pair is [left.low, left.high, right.low,
     # right.high], each a return edge id or None for an empty interval
     stack_pairs: list[list] = []
-    ref: list = [None] * len(src)
-    lowpt_edge: list = [None] * len(src)
-    stack_bottom: list = [None] * len(src)
-    started = [False] * len(src)
+    ref: list = [None] * len(dst)
+    lowpt_edge: list = [None] * len(dst)
+    stack_bottom: list = [None] * len(dst)
 
     def add_constraints(ei, e):
         new = [None, None, None, None]
@@ -380,8 +386,7 @@ def _lr_planar(adj) -> list[bool]:
             return lowpt[p[0]]
         return min(lowpt[p[0]], lowpt[p[2]])
 
-    def remove_back_edges(e):
-        u = src[e]
+    def remove_back_edges(u):
         hu = height[u]
         while stack_pairs and lowest(stack_pairs[-1]) == hu:
             stack_pairs.pop()
@@ -396,42 +401,37 @@ def _lr_planar(adj) -> list[bool]:
             if p[3] is None:
                 p[2] = None
 
-    pos = [0] * n
-
     def planar_from(root):
         stack_pairs.clear()
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = parent_edge[v]
-            hv = height[v]
-            ol = out[v]
-            i = pos[v]
-            descended = False
-            while i < len(ol):
-                ei = ol[i]
-                if not started[ei]:
-                    started[ei] = True
-                    stack_bottom[ei] = stack_pairs[-1] if stack_pairs else None
-                    w = dst[ei]
-                    if parent_edge[w] == ei:
-                        pos[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        descended = True
-                        break
-                    lowpt_edge[ei] = ei
-                    stack_pairs.append([None, None, ei, ei])
-                # integrate the return edges of ei
-                if lowpt[ei] < hv:
-                    if i == 0:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
+        v, it, stack = root, iter(out[root]), []
+        while True:
+            for ei in it:
+                stack_bottom[ei] = stack_pairs[-1] if stack_pairs else None
+                w = dst[ei]
+                if parent_edge[w] == ei:
+                    stack += v, it
+                    v, it = w, iter(out[w])
+                    break
+                # a back edge returns below v: integrate it at once
+                lowpt_edge[ei] = ei
+                stack_pairs.append([None, None, ei, ei])
+                if ei == out[v][0]:
+                    lowpt_edge[parent_edge[v]] = ei
+                elif not add_constraints(ei, parent_edge[v]):
+                    return False
+            else:
+                if not stack:
+                    return True
+                # back at the parent: integrate the tree edge ei if it returns
+                ei = parent_edge[v]
+                it = stack.pop()
+                v = stack.pop()
+                remove_back_edges(v)
+                if lowpt[ei] < height[v]:
+                    if ei == out[v][0]:
+                        lowpt_edge[parent_edge[v]] = lowpt_edge[ei]
+                    elif not add_constraints(ei, parent_edge[v]):
                         return False
-                i += 1
-            if not descended and e >= 0:
-                remove_back_edges(e)
-        return True
 
     return [planar_from(root) for root in roots]
 

@@ -423,13 +423,16 @@ def _suite_gem(seed: int) -> list[dict]:
         _prop("bicolored cycle lengths reproduce codim-2 degrees", not bad, bad)
     )
 
-    # counts and residues from the edge list alone, none from the mate table
+    # counts and residues from the edge list alone, none from the mate table;
+    # a connected residue whose bicolored cycles give chi = F_res - V_res/2 = 2
+    # is a 2-sphere with those cycles as faces, so it must be flagged planar
     rng = random.Random(seed)
     bad = []
     for k in range(10):
         g = random_gem(rng, rng.choice([4, 8, 12, 16, 24, 32]))
         r = gem_report(g)
-        cycles = [(p, len(_edge_components(g, p))) for p in combinations(range(1, 5), 2)]
+        pair_comps = {p: _edge_components(g, p) for p in combinations(range(1, 5), 2)}
+        cycles = [(p, len(comps)) for p, comps in pair_comps.items()]
         residues = [(t, _edge_components(g, t)) for t in combinations(range(1, 5), 3)]
         f = sum(count for _pair, count in cycles)
         rr = sum(len(comps) for _triple, comps in residues)
@@ -443,12 +446,33 @@ def _suite_gem(seed: int) -> list[dict]:
                 (triple, len(comps), tuple(is_planar_multigraph(vs, es) for vs, es in comps))
                 for triple, comps in residues
             ]
+            or any(
+                chi == 2 and not flag
+                for (triple, comps), (_t, _count, flags) in zip(residues, r.triple_components)
+                for chi, flag in zip(
+                    _residue_euler(comps, [pair_comps[p] for p in combinations(triple, 2)]),
+                    flags,
+                )
+            )
         ):
             bad.append(k)
     props.append(
         _prop("random gems: F, R, chi and residue planarity match a union-find", not bad, bad)
     )
     return props
+
+
+def _residue_euler(residues, cycle_components) -> list[int]:
+    """Euler characteristic F - V/2 of each residue, a (vertices, edges)
+    component, as the closed surface whose faces are the bicolored cycles in
+    ``cycle_components``, the components of its triple's three color pairs.
+    A residue is cubic, so E = 3V/2."""
+    where = {w: i for i, (vs, _es) in enumerate(residues) for w in vs}
+    faces = [0] * len(residues)
+    for comps in cycle_components:
+        for vs, _es in comps:
+            faces[where[vs[0]]] += 1
+    return [f - len(vs) // 2 for f, (vs, _es) in zip(faces, residues)]
 
 
 def _edge_components(g: Gem, colors) -> list[tuple[list[int], list[tuple[int, int, int]]]]:

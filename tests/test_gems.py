@@ -22,6 +22,7 @@ from colorplex import (
     is_planar_multigraph,
     parse_gem,
 )
+from colorplex import gems, oracles
 from colorplex.builders import cross_polytope_boundary, simplex_boundary
 from colorplex.errors import FormatError
 from colorplex.gems import _lr_planar
@@ -333,6 +334,11 @@ def test_lr_planar_decides_each_component_of_a_multigraph(parts, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 30))
+# the benchmark's shape: 2,000 vertices, each residue one non-planar component
+# at these seeds, and a DFS far deeper than the drawn gems reach
+@example(29, 1000)
+@example(41, 1000)
+@example(67, 1000)
 def test_planarity_matches_networkx_on_gem_residues(seed, half):
     """The report's residue counts and flags, read off the mate table, and
     the edge-list route agree with networkx's components and planarity."""
@@ -352,6 +358,20 @@ def test_planarity_matches_networkx_on_gem_residues(seed, half):
         residues = subgraph_components(gem, triple)
         assert [set(verts) for verts, _edges in residues] == comps
         assert flags == tuple(is_planar_multigraph(verts, edges) for verts, edges in residues)
+
+
+def test_gem_suite_catches_a_spherical_residue_flagged_non_planar(monkeypatch):
+    """With every verdict of the left-right test turned to False, the report
+    and ``is_planar_multigraph`` still agree with each other; the suite must
+    fail its random-gem property on the residues whose bicolored cycles make
+    them 2-spheres."""
+    name = "random gems: F, R, chi and residue planarity match a union-find"
+    assert {p["name"]: p["passed"] for p in oracles.run_suite("gem", 0)["properties"]}[name]
+    real = gems._lr_planar
+    monkeypatch.setattr(gems, "_lr_planar", lambda adj: [False] * len(real(adj)))
+    doc = oracles.run_suite("gem", 0)
+    assert {p["name"]: p["passed"] for p in doc["properties"]}[name] is False
+    assert not doc["passed"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,6 +470,8 @@ def _maximal_planar(rng, n):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.integers(3, 120), st.integers(0, 12), st.booleans())
+@example(0, 10, 0, False)  # called non-planar without the lowpt2 term of the nesting depth
+@example(5, 26, 1, False)  # called non-planar with the two lowpt2 branches of the fold swapped
 def test_planarity_matches_networkx_on_maximal_planar_graphs(seed, n, drop, extra):
     """A triangulation is planar; with one more edge it breaks the Euler
     bound, and with some edges dropped first the extra edge may or may not
