@@ -8,12 +8,12 @@ Ferri, Gagliardi and Grasselli, 1986) that bound the regions of that color, so
 their component count recovers the region count and V - E + F - R recovers
 the Euler characteristic.
 
-The analysis reads one table per gem, built on first use and kept on it as
-``Gem.mate_table``: the sorted vertices and, per color c, a flat list whose
-entry k is the position of the c-neighbour of vertex k.  A bicolored cycle
-is a walk along two of these lists.  Three of them, zipped, are the
-neighbour sequences of a 3-color subgraph, a parallel edge repeating its
-neighbour.
+The analysis reads one table per gem, ``Gem.mate_table``, the gem's only
+adjacency: validation builds it while it checks the edges, and the gem holds
+it.  It is the sorted vertices and, per color c, a flat list whose entry k
+is the position of the c-neighbour of vertex k.  A bicolored cycle is a walk
+along two of these lists.  Three of them, zipped, are the neighbour
+sequences of a 3-color subgraph, a parallel edge repeating its neighbour.
 
 ``_lr_planar`` decides the planarity of every component of such a subgraph in
 one call, one verdict per residue in order of least vertex.  It is the
@@ -29,9 +29,7 @@ parallel edges, and applies the Euler bound before the test.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import FormatError
@@ -44,65 +42,6 @@ class GemError(ValueError):
     """Structural violation of the gem invariants."""
 
 
-@dataclass(frozen=True)
-class Gem:
-    """Edge list (u, v, color) with u < v, colors in 1..4.
-
-    Valid gems are 4-regular, properly edge-colored (the four edges at a
-    vertex carry four distinct colors, so each color class is a perfect
-    matching), loop-free and connected.  Parallel edges are fine; they occur
-    in minimal encodings.
-    """
-
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        slots: dict[tuple[int, int], int] = {}  # (vertex, color) -> the other end
-        for u, v, c in self.edges:
-            if u == v:
-                raise GemError(f"loop edge at vertex {u}")
-            if u > v:
-                raise GemError(f"edge {(u, v, c)} not normalised (u < v required)")
-            if c not in COLOR_NAMES:
-                raise GemError(f"color {c} outside 1..4 on edge {(u, v)}")
-            for w, other in ((u, v), (v, u)):
-                if (w, c) in slots:
-                    raise GemError(f"repeated color {c} at vertex {w}")
-                slots[(w, c)] = other
-        degrees = Counter(w for u, v, _c in self.edges for w in (u, v))
-        for w, d in degrees.items():
-            if d != 4:
-                raise GemError(f"vertex {w} has degree {d}, expected 4")
-        if not degrees:
-            raise GemError("empty gem")
-        stack = [next(iter(degrees))]
-        seen = set(stack)
-        while stack:
-            cur = stack.pop()
-            for c in COLOR_NAMES:  # every vertex now has one edge of each color
-                nxt = slots[(cur, c)]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(degrees):
-            raise GemError(
-                f"gem is disconnected ({len(seen)} of {len(degrees)} vertices reachable)"
-            )
-
-    @classmethod
-    def from_edges(cls, edges) -> "Gem":
-        return cls(tuple(sorted((min(u, v), max(u, v), c) for u, v, c in edges)))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self.mate_table.vertices)
-
-    @cached_property
-    def mate_table(self) -> _MateTable:
-        """The sorted vertices and the per-color mate lists (see ``_MateTable``)."""
-        return _mate_table(self.edges)
-
-
 class _MateTable(NamedTuple):
     """``mate[c][k]`` is the position in ``vertices`` of the c-neighbour of
     ``vertices[k]``, for colors c in 1..4; ``mate[0]`` is empty.  Ids 0..V-1
@@ -112,21 +51,81 @@ class _MateTable(NamedTuple):
     mate: tuple[list[int], ...]
 
 
-def _mate_table(edges) -> _MateTable:
-    us, vs, cs = zip(*edges)
-    vertices = tuple(sorted(set(us).union(vs)))
-    n = len(vertices)
-    if vertices[0] == 0 and vertices[-1] == n - 1:
-        vertices = range(n)
-    else:
-        position = dict(zip(vertices, range(n))).__getitem__
-        us, vs = map(position, us), map(position, vs)
-    mate = ([], *([0] * n for _ in range(4)))
-    for a, b, c in zip(us, vs, cs):
-        row = mate[c]
-        row[a] = b
-        row[b] = a
-    return _MateTable(vertices, mate)
+@dataclass(frozen=True)
+class Gem:
+    """Edge list (u, v, color) with u < v, colors in 1..4.
+
+    Valid gems are 4-regular, properly edge-colored (the four edges at a
+    vertex carry four distinct colors, so each color class is a perfect
+    matching), loop-free and connected.  Parallel edges are fine; they occur
+    in minimal encodings.
+
+    Validation fills ``mate_table``, the gem's only adjacency, as it checks,
+    and the gem holds it; equality, hashing and the repr read ``edges``.
+    """
+
+    edges: tuple[tuple[int, int, int], ...]
+    mate_table: _MateTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.edges:
+            raise GemError("empty gem")
+        us, vs, cs = zip(*self.edges)
+        vertices = tuple(sorted(set(us).union(vs)))
+        n = len(vertices)
+        if vertices[0] == 0 and vertices[-1] == n - 1:
+            vertices = range(n)
+        else:
+            position = dict(zip(vertices, range(n))).__getitem__
+            us, vs = list(map(position, us)), list(map(position, vs))
+        # each edge in order: loop, order, color, then its two slots; positions
+        # keep the order of the ids, and ``vertices`` maps them back
+        mate = ([], *([-1] * n for _ in range(4)))
+        for a, b, c in zip(us, vs, cs):
+            if a == b:
+                raise GemError(f"loop edge at vertex {vertices[a]}")
+            if a > b:
+                edge = (vertices[a], vertices[b], c)
+                raise GemError(f"edge {edge} not normalised (u < v required)")
+            if c not in COLOR_NAMES:
+                raise GemError(f"color {c} outside 1..4 on edge {(vertices[a], vertices[b])}")
+            row = mate[c]
+            if row[a] >= 0:
+                raise GemError(f"repeated color {c} at vertex {vertices[a]}")
+            row[a] = b
+            if row[b] >= 0:
+                raise GemError(f"repeated color {c} at vertex {vertices[b]}")
+            row[b] = a
+        rows = mate[1:]
+        # a vertex with an unset slot has fewer than four edges (a fifth would
+        # repeat a color); the first in order of appearance is reported
+        if any(-1 in row for row in rows):
+            for k in itertools.chain.from_iterable(zip(us, vs)):
+                degree = sum(row[k] >= 0 for row in rows)
+                if degree < 4:
+                    raise GemError(f"vertex {vertices[k]} has degree {degree}, expected 4")
+        seen = bytearray(n)
+        stack = [us[0]]
+        seen[us[0]] = 1
+        while stack:
+            k = stack.pop()
+            for row in rows:
+                m = row[k]
+                if not seen[m]:
+                    seen[m] = 1
+                    stack.append(m)
+        reached = seen.count(1)
+        if reached != n:
+            raise GemError(f"gem is disconnected ({reached} of {n} vertices reachable)")
+        object.__setattr__(self, "mate_table", _MateTable(vertices, mate))
+
+    @classmethod
+    def from_edges(cls, edges) -> "Gem":
+        return cls(tuple(sorted((min(u, v), max(u, v), c) for u, v, c in edges)))
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self.mate_table.vertices)
 
 
 def parse_gem(text: str) -> Gem:
@@ -178,12 +177,7 @@ def bicolored_cycles(g: Gem, a: int, b: int) -> tuple[int, ...]:
     a disjoint union of cycles, each alternating a and b and hence of even
     length; a parallel pair gives the minimal length 2.
     """
-    mate = g.mate_table.mate
-    return _cycle_lengths(mate[a], mate[b])
-
-
-def _cycle_lengths(mate_a: list[int], mate_b: list[int]) -> tuple[int, ...]:
-    """:func:`bicolored_cycles` on two mate lists, one a-edge and b-edge per step."""
+    mate_a, mate_b = g.mate_table.mate[a], g.mate_table.mate[b]
     seen = bytearray(len(mate_a))
     lengths = []
     for start in range(len(mate_a)):
@@ -493,7 +487,7 @@ def gem_report(g: Gem) -> GemReport:
     off the gem's mate table."""
     mate = g.mate_table.mate
     pairs = itertools.combinations(range(1, 5), 2)
-    cycle_lengths = tuple(((a, b), _cycle_lengths(mate[a], mate[b])) for a, b in pairs)
+    cycle_lengths = tuple(((a, b), bicolored_cycles(g, a, b)) for a, b in pairs)
     triple_components = []
     for a, b, c in itertools.combinations(range(1, 5), 3):
         flags = tuple(_lr_planar(list(zip(mate[a], mate[b], mate[c]))))
