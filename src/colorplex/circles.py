@@ -35,10 +35,6 @@ from .perms import Permutation
 from .triangulation import FACE_BUDGET
 
 
-def _arc_id(layer: int, index: int) -> str:
-    return f"l{layer}a{index}"
-
-
 def _layer_fault(li: int, points, circumference: Fraction) -> str | None:
     """Why layer ``li`` is unusable on its own, or None: fewer than 2
     points, a position outside [0, circumference), or positions that do not
@@ -88,17 +84,24 @@ class CircleLayers:
     def j(self) -> int:
         return len(self.layers)
 
-    def arc_ids(self) -> tuple[tuple[str, int], ...]:
-        """(id, layer) of every arc in (layer, index) order.  Arc k of a
-        layer runs from its point k to the next point, wrapping past C."""
+    @cached_property
+    def layer_arc_ids(self) -> tuple[tuple[str, ...], ...]:
+        """Per layer i, the ids ``l{i}a{k}`` of its arcs in index order.  Arc
+        k of a layer runs from its point k to the next point, wrapping past
+        C.  Named once per object: the sweep walks and ``arc_ids`` read it."""
         return tuple(
-            (_arc_id(li, k), li)
+            tuple(f"l{li}a{k}" for k in range(len(points)))
             for li, points in enumerate(self.layers, start=1)
-            for k in range(len(points))
+        )
+
+    def arc_ids(self) -> tuple[tuple[str, int], ...]:
+        """(id, layer) of every arc in (layer, index) order."""
+        return tuple(
+            (aid, li) for li, row in enumerate(self.layer_arc_ids, start=1) for aid in row
         )
 
     def arc_count(self) -> int:
-        return sum(len(points) for points in self.layers)
+        return sum(map(len, self.layer_arc_ids))
 
     @cached_property
     def sweep_order(self) -> tuple[tuple[Fraction, int, int], ...]:
@@ -204,8 +207,7 @@ def _crossings(cl: CircleLayers):
     just past p, one per layer).  p's stab is the ended id and the ids
     underfoot.  The underfoot list is live: the walk updates it in place at
     the next crossing, so a caller that keeps a stab copies it before then."""
-    ids = [[_arc_id(li, k) for k in range(len(points))]
-           for li, points in enumerate(cl.layers, start=1)]
+    ids = cl.layer_arc_ids
     # at 0+ a layer stands on its arc starting at 0, else on its wrapping arc
     underfoot = [row[0] if points[0] == 0 else row[-1] for row, points in zip(ids, cl.layers)]
     for _pos, layer, k in cl.sweep_order:

@@ -8,12 +8,13 @@ Ferri, Gagliardi and Grasselli, 1986) that bound the regions of that color, so
 their component count recovers the region count and V - E + F - R recovers
 the Euler characteristic.
 
-The analysis reads one table per gem, ``Gem.mate_table``, the gem's only
-adjacency: validation builds it while it checks the edges, and the gem holds
-it.  It is the sorted vertices and, per color c, a flat list whose entry k
-is the position of the c-neighbour of vertex k.  A bicolored cycle is a walk
-along two of these lists.  Three of them, zipped, are the neighbour
-sequences of a 3-color subgraph, a parallel edge repeating its neighbour.
+The analysis reads the gem's mate lists, ``Gem.mates``, its only adjacency:
+validation fills them while it checks the edges, and the gem holds them.
+The vertices are numbered by their positions in the sorted id tuple
+``Gem.vertices``, and ``mates[c][k]`` is the position of the c-neighbour of
+vertex k.  A bicolored cycle is a walk along two of these lists.  Three of
+them, zipped, are the neighbour sequences of a 3-color subgraph, a parallel
+edge repeating its neighbour.
 
 ``_lr_planar`` decides the planarity of every component of such a subgraph in
 one call, one verdict per residue in order of least vertex.  It is the
@@ -23,14 +24,13 @@ Fraysseix, Ossona de Mendez and Rosenstiehl, "Trémaux trees and planarity"
 Its DFS frames hold iterators, lowpoints fold into parent edges inline, and
 out lists of one edge stay unsorted.  ``is_planar_multigraph`` is the same
 test on any vertex and edge lists: it numbers the vertices, drops loops and
-parallel edges, and applies the Euler bound before the test.
+passes the parallel edges on as repeated neighbours.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import FormatError
 from .triangulation import Triangulation
@@ -42,15 +42,6 @@ class GemError(ValueError):
     """Structural violation of the gem invariants."""
 
 
-class _MateTable(NamedTuple):
-    """``mate[c][k]`` is the position in ``vertices`` of the c-neighbour of
-    ``vertices[k]``, for colors c in 1..4; ``mate[0]`` is empty.  Ids 0..V-1
-    are their own positions, and ``vertices`` is then ``range(V)``."""
-
-    vertices: tuple[int, ...] | range
-    mate: tuple[list[int], ...]
-
-
 @dataclass(frozen=True)
 class Gem:
     """Edge list (u, v, color) with u < v, colors in 1..4.
@@ -60,12 +51,16 @@ class Gem:
     matching), loop-free and connected.  Parallel edges are fine; they occur
     in minimal encodings.
 
-    Validation fills ``mate_table``, the gem's only adjacency, as it checks,
-    and the gem holds it; equality, hashing and the repr read ``edges``.
+    Validation sets the two derived fields once, as it checks: ``vertices``,
+    the sorted ids, whose positions number the vertices, and ``mates``, the
+    gem's only adjacency, where ``mates[c][k]`` is the position of the
+    c-neighbour of vertex k for colors c in 1..4 and ``mates[0]`` is empty.
+    Equality, hashing and the repr read ``edges`` alone.
     """
 
     edges: tuple[tuple[int, int, int], ...]
-    mate_table: _MateTable = field(init=False, repr=False, compare=False)
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    mates: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.edges:
@@ -73,14 +68,11 @@ class Gem:
         us, vs, cs = zip(*self.edges)
         vertices = tuple(sorted(set(us).union(vs)))
         n = len(vertices)
-        if vertices[0] == 0 and vertices[-1] == n - 1:
-            vertices = range(n)
-        else:
-            position = dict(zip(vertices, range(n))).__getitem__
-            us, vs = list(map(position, us)), list(map(position, vs))
+        position = dict(zip(vertices, range(n))).__getitem__
+        us, vs = list(map(position, us)), list(map(position, vs))
         # each edge in order: loop, order, color, then its two slots; positions
         # keep the order of the ids, and ``vertices`` maps them back
-        mate = ([], *([-1] * n for _ in range(4)))
+        mates = ([], *([-1] * n for _ in range(4)))
         for a, b, c in zip(us, vs, cs):
             if a == b:
                 raise GemError(f"loop edge at vertex {vertices[a]}")
@@ -89,14 +81,14 @@ class Gem:
                 raise GemError(f"edge {edge} not normalised (u < v required)")
             if c not in COLOR_NAMES:
                 raise GemError(f"color {c} outside 1..4 on edge {(vertices[a], vertices[b])}")
-            row = mate[c]
+            row = mates[c]
             if row[a] >= 0:
                 raise GemError(f"repeated color {c} at vertex {vertices[a]}")
             row[a] = b
             if row[b] >= 0:
                 raise GemError(f"repeated color {c} at vertex {vertices[b]}")
             row[b] = a
-        rows = mate[1:]
+        rows = mates[1:]
         # a vertex with an unset slot has fewer than four edges (a fifth would
         # repeat a color); the first in order of appearance is reported
         if any(-1 in row for row in rows):
@@ -117,15 +109,12 @@ class Gem:
         reached = seen.count(1)
         if reached != n:
             raise GemError(f"gem is disconnected ({reached} of {n} vertices reachable)")
-        object.__setattr__(self, "mate_table", _MateTable(vertices, mate))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "mates", mates)
 
     @classmethod
     def from_edges(cls, edges) -> "Gem":
         return cls(tuple(sorted((min(u, v), max(u, v), c) for u, v, c in edges)))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self.mate_table.vertices)
 
 
 def parse_gem(text: str) -> Gem:
@@ -177,7 +166,7 @@ def bicolored_cycles(g: Gem, a: int, b: int) -> tuple[int, ...]:
     a disjoint union of cycles, each alternating a and b and hence of even
     length; a parallel pair gives the minimal length 2.
     """
-    mate_a, mate_b = g.mate_table.mate[a], g.mate_table.mate[b]
+    mate_a, mate_b = g.mates[a], g.mates[b]
     seen = bytearray(len(mate_a))
     lengths = []
     for start in range(len(mate_a)):
@@ -197,26 +186,21 @@ def bicolored_cycles(g: Gem, a: int, b: int) -> tuple[int, ...]:
 
 def is_planar_multigraph(vertices, edges) -> bool:
     """Exact planarity of the graph on ``vertices`` with ``edges`` given as
-    (u, v, ...) tuples.  Loops and parallel edges never change the verdict,
-    so they are dropped first; a simple graph with V > 2 and E > 3V - 6 is
-    not planar (Euler), and otherwise ``_lr_planar`` decides each
-    component."""
+    (u, v, ...) tuples.  Loops never change the verdict and are dropped;
+    parallel edges go to ``_lr_planar`` as repeated neighbours, and it
+    decides each component."""
     index: dict = {}
     for v in vertices:
         index.setdefault(v, len(index))
-    pairs = set()
-    for u, v, *_rest in edges:
-        a = index.setdefault(u, len(index))
-        b = index.setdefault(v, len(index))
+    ends = [
+        (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        for u, v, *_rest in edges
+    ]
+    adj: list[list[int]] = [[] for _ in index]
+    for a, b in ends:
         if a != b:
-            pairs.add((a, b) if a < b else (b, a))
-    n = len(index)
-    if n > 2 and len(pairs) > 3 * n - 6:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
+            adj[a].append(b)
+            adj[b].append(a)
     return all(_lr_planar(adj))
 
 
@@ -246,9 +230,7 @@ def _lr_planar(adj) -> list[bool]:
     built: the ``side`` signs and the edge ordering of the full algorithm
     are skipped, because only the verdict is read.  Both passes are
     iterative, each frame a vertex and an iterator over its neighbours or
-    out-edges, so DFS depth is not bounded by the recursion limit.  The
-    Euler bound is left to the caller: the 3-regular residues of a gem never
-    exceed it.
+    out-edges, so DFS depth is not bounded by the recursion limit.
     """
     n = len(adj)
 
@@ -484,15 +466,15 @@ class GemReport:
 
 def gem_report(g: Gem) -> GemReport:
     """All six bicolored decompositions and all four 3-color analyses, read
-    off the gem's mate table."""
-    mate = g.mate_table.mate
+    off the gem's mate lists."""
+    mates = g.mates
     pairs = itertools.combinations(range(1, 5), 2)
     cycle_lengths = tuple(((a, b), bicolored_cycles(g, a, b)) for a, b in pairs)
     triple_components = []
     for a, b, c in itertools.combinations(range(1, 5), 3):
-        flags = tuple(_lr_planar(list(zip(mate[a], mate[b], mate[c]))))
+        flags = tuple(_lr_planar(list(zip(mates[a], mates[b], mates[c]))))
         triple_components.append(((a, b, c), len(flags), flags))
-    return GemReport(len(mate[1]), len(g.edges), cycle_lengths, tuple(triple_components))
+    return GemReport(len(g.vertices), len(g.edges), cycle_lengths, tuple(triple_components))
 
 
 # ---------------------------------------------------------------------------
