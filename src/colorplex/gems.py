@@ -25,6 +25,16 @@ Its DFS frames hold iterators, lowpoints fold into parent edges inline, and
 out lists of one edge stay unsorted.  ``is_planar_multigraph`` is the same
 test on any vertex and edge lists: it numbers the vertices, drops loops and
 passes the parallel edges on as repeated neighbours.
+
+Planarity is closed under subgraphs (Kuratowski 1930), so a "no" needs only
+one non-planar piece.  The orientation counts each component's vertices.  At
+the first one past ``_BALL`` it tests the subgraph induced by the first
+``_BALL`` vertices that a breadth-first search from the component's least
+vertex reaches.  A non-planar ball settles the component, and the rest of it
+is never oriented; a planar ball decides nothing, and the full test goes on.
+Smaller components never meet the ball and pay no extra pass.  ``_BALL``
+comes from the smallest non-planar balls of random gems, measured as its
+comment records.
 """
 
 from __future__ import annotations
@@ -36,6 +46,15 @@ from .errors import FormatError
 from .triangulation import Triangulation
 
 COLOR_NAMES = {1: "red", 2: "green", 3: "blue", 4: "black"}
+
+# The size of the ball, in vertices, that the left-right test tries first on
+# a component with more vertices.  In the residues of random gems, the
+# smallest non-planar ball (first vertices in breadth-first order from the
+# least vertex) held 107-339 vertices at 2,000 gem vertices (520 residues,
+# seeds 3000-3129), so 384 settles every one of them; it held 40-168 at 500
+# (400 residues) and 397-894 at 20,000 (40 residues), where the full test
+# runs after a planar ball.
+_BALL = 384
 
 
 class GemError(ValueError):
@@ -188,7 +207,8 @@ def is_planar_multigraph(vertices, edges) -> bool:
     """Exact planarity of the graph on ``vertices`` with ``edges`` given as
     (u, v, ...) tuples.  Loops never change the verdict and are dropped;
     parallel edges go to ``_lr_planar`` as repeated neighbours, and it
-    decides each component."""
+    decides each component, one of more than ``_BALL`` vertices first on a
+    ball of that many."""
     index: dict = {}
     for v in vertices:
         index.setdefault(v, len(index))
@@ -226,6 +246,11 @@ def _lr_planar(adj) -> list[bool]:
        both sides; ``remove_back_edges`` drops the return edges that end at
        the parent, trimming intervals along ``ref``.
 
+    Step 1 counts each component's vertices.  At the first one past
+    ``_BALL`` it calls ``_settled_by_ball``: a non-planar ball makes the
+    component non-planar, its orientation stops there and it skips step 3;
+    a planar ball decides nothing, and the orientation goes on.
+
     A component is planar iff step 3 never fails on it.  No embedding is
     built: the ``side`` signs and the edge ordering of the full algorithm
     are skipped, because only the verdict is read.  Both passes are
@@ -248,6 +273,7 @@ def _lr_planar(adj) -> list[bool]:
         height[root] = 0
         roots.append(root)
         v, it, hv, stack = root, iter(adj[root]), 0, []
+        budget = _BALL  # reaches 0 at the first vertex past the ball's size
         while True:
             for w in it:
                 hw = height[w]
@@ -264,6 +290,13 @@ def _lr_planar(adj) -> list[bool]:
                     depth.append(0)
                     parent_edge[w] = ei
                     height[w] = hv + 1
+                    budget -= 1
+                    if not budget and _settled_by_ball(adj, root, height):
+                        # non-planar: an empty frame with no ancestors ends
+                        # the loop over this component
+                        roots[-1] = None
+                        it, stack = iter(()), []
+                        break
                     stack += v, it
                     v, it, hv = w, iter(adj[w]), hv + 1
                     break
@@ -378,6 +411,9 @@ def _lr_planar(adj) -> list[bool]:
                 p[2] = None
 
     def planar_from(root):
+        # a failed component leaves pairs behind, which a later one never
+        # reads: each of its conflict loops stops at or above the pair of
+        # the lowest return edge of its vertex's first out-edge
         stack_pairs.clear()
         v, it, stack = root, iter(out[root]), []
         while True:
@@ -409,7 +445,36 @@ def _lr_planar(adj) -> list[bool]:
                     elif not add_constraints(ei, parent_edge[v]):
                         return False
 
-    return [planar_from(root) for root in roots]
+    return [root is not None and planar_from(root) for root in roots]
+
+
+def _settled_by_ball(adj, root, height) -> bool:
+    """Whether the subgraph induced by the first ``_BALL`` vertices that a
+    breadth-first search from ``root`` reaches is non-planar, which makes
+    root's component non-planar; that component has more than ``_BALL``
+    vertices.  If so, every vertex of the component is marked visited in
+    ``height``, so that none roots a verdict of its own."""
+    seen = {root}
+    order = [root]
+    for v in order:
+        if len(order) >= _BALL:
+            break
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    ball = order[:_BALL]
+    index = dict(zip(ball, range(_BALL)))
+    if all(_lr_planar([[index[w] for w in adj[v] if w in index] for v in ball])):
+        return False
+    for v in order:  # the list grows until it holds the whole component
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    for w in order:
+        height[w] = 0
+    return True
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -25,7 +26,7 @@ from colorplex import (
 from colorplex import gems, oracles
 from colorplex.builders import cross_polytope_boundary, simplex_boundary
 from colorplex.errors import FormatError
-from colorplex.gems import _lr_planar
+from colorplex.gems import _BALL, _lr_planar
 from colorplex.triangulation import Triangulation
 from colorplex.oracles import random_gem
 from gem_residues import reference_gem_error, subgraph_components
@@ -579,3 +580,179 @@ def test_every_residue_of_the_twice_subdivided_16_cell_is_planar():
     assert report.r_count == len(sub.vertices)
     assert report.euler == 0
     assert report.all_planar
+
+
+# ---------------------------------------------------------------------------
+# components larger than the ball: the left-right test first runs on the
+# subgraph induced by the first _BALL vertices of a breadth-first search
+
+
+def _bfs_order(adj, root):
+    """Root's component in the breadth-first order that the ball is read
+    in: each vertex's neighbours in sequence order."""
+    order, seen = [root], {root}
+    for v in order:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _cubic(rng, s):
+    """A random connected multigraph on s vertices, cubic but for one
+    vertex of degree 2 when s is odd: a Hamiltonian cycle and a matching."""
+    order = rng.sample(range(s), s)
+    edges = [(order[i - 1], order[i]) for i in range(s)]
+    rng.shuffle(order)
+    return edges + [(order[i], order[i + 1]) for i in range(0, s - 1, 2)]
+
+
+def _stacked(rng, s):
+    """A random stacked triangulation of the sphere on s >= 3 vertices, a
+    maximal planar graph: each new vertex goes into a random face."""
+    faces, edges = [(0, 1, 2), (0, 2, 1)], [(0, 1), (1, 2), (0, 2)]
+    for v in range(3, s):
+        k = rng.randrange(len(faces))
+        a, b, c = faces[k]
+        faces[k] = (a, b, v)
+        faces += [(b, c, v), (c, a, v)]
+        edges += [(a, v), (b, v), (c, v)]
+    return edges
+
+
+def _spied_lr_planar(adj):
+    """``_lr_planar`` on ``adj``, and the size and verdicts of each ball
+    test that it ran on the way."""
+    calls = []
+
+    def spy(sub):
+        verdicts = _lr_planar(sub)
+        calls.append((len(sub), verdicts))
+        return verdicts
+
+    with mock.patch.object(gems, "_lr_planar", spy):
+        return _lr_planar(adj), calls
+
+
+_BALL_KINDS = ("cubic", "prism", "triangulation", "triangulation+edge")
+_BALL_SIZES = (_BALL - 1, _BALL, _BALL + 1, 2 * _BALL, 3 * _BALL)
+
+
+@settings(max_examples=20, deadline=None, phases=NO_EXPLAIN)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_BALL_KINDS), st.sampled_from(_BALL_SIZES)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2**32),
+)
+@example([("triangulation+edge", 3 * _BALL), ("cubic", _BALL), ("prism", _BALL + 1)], 0)
+@example([("cubic", 2 * _BALL), ("triangulation", _BALL - 1), ("triangulation+edge", _BALL + 1)], 1)
+def test_planar_verdicts_at_the_ball_bound(parts, seed):
+    """Components of ``_BALL`` - 1, ``_BALL``, ``_BALL`` + 1 and a few
+    multiples of ``_BALL`` vertices get one verdict each, by least vertex,
+    and each is networkx's verdict on that component.  The parts are random
+    cubic multigraphs, whose ball is mostly non-planar, prisms (one edge
+    subdivided at odd sizes) and stacked triangulations, which are planar,
+    and triangulations with one more edge: non-planar, and when the part
+    has room, with both ends outside its ball, which then stays planar.
+    Only a component of more than ``_BALL`` vertices runs the ball test,
+    once, on exactly ``_BALL`` vertices."""
+    import networkx as nx
+
+    rng = random.Random(seed)
+    total = sum(s for _kind, s in parts)
+    labels = rng.sample(range(total), total)
+    adj: list[list[int]] = [[] for _ in range(total)]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(total))
+    offset, extended = 0, []
+    for kind, s in parts:
+        if kind == "cubic":
+            edges = _cubic(rng, s)
+        elif kind == "prism":
+            edges = _prism(s // 2)
+            if s % 2:
+                edges[0:1] = [(0, s - 1), (s - 1, 1)]
+        else:
+            edges = _stacked(rng, s)
+        for u, v in edges:
+            a, b = labels[offset + u], labels[offset + v]
+            adj[a].append(b)
+            adj[b].append(a)
+            graph.add_edge(a, b)
+        if kind == "triangulation+edge":
+            extended.append(labels[offset : offset + s])
+        offset += s
+    for row in adj:
+        rng.shuffle(row)
+    # the new edge goes last in both sequences; with both ends past the
+    # ball, the ball is read as before
+    for part in extended:
+        outside = _bfs_order(adj, min(part))[_BALL:]
+        pool = outside if len(outside) > 2 else part
+        a, b = rng.sample(pool, 2)
+        while graph.has_edge(a, b):
+            a, b = rng.sample(pool, 2)
+        adj[a].append(b)
+        adj[b].append(a)
+        graph.add_edge(a, b)
+    verdicts, calls = _spied_lr_planar(adj)
+    comps = sorted(nx.connected_components(graph), key=min)
+    assert verdicts == [nx.check_planarity(graph.subgraph(comp))[0] for comp in comps]
+    assert [size for size, _verdicts in calls] == [_BALL] * sum(len(c) > _BALL for c in comps)
+
+
+def test_a_ball_settles_a_component_between_small_ones():
+    """A non-planar ball settles its component: one False at its least
+    vertex, between the verdicts of small components whose ids its other
+    vertices are spread among, so that any vertex of it left unmarked would
+    root a verdict of its own."""
+    rng = random.Random(3)
+    big = 3 * _BALL
+    parts = [
+        (4, list(itertools.combinations(range(4), 2))),  # K4
+        (big, _cubic(rng, big)),
+        (5, list(itertools.combinations(range(5), 2))),  # K5
+        (6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
+        (3, [(0, 1), (1, 2), (2, 0)]),
+    ]
+    total = sum(n for n, _edges in parts)
+    rest = rng.sample(range(len(parts), total), total - len(parts))
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for k, (n, edges) in enumerate(parts):
+        # part k's vertex 0 gets id k, its least
+        labels = [k] + [rest.pop() for _ in range(n - 1)]
+        for u, v in edges:
+            adj[labels[u]].append(labels[v])
+            adj[labels[v]].append(labels[u])
+    verdicts, calls = _spied_lr_planar(adj)
+    assert calls == [(_BALL, [False])]
+    assert verdicts == [True, False, False, False, True]
+
+
+def _suspended_sphere(subdivisions):
+    """The suspension of the octahedron subdivided ``subdivisions`` times, a
+    3-sphere, colored 1-3 on the sphere from its subdivision and 4 on both
+    apexes."""
+    t = cross_polytope_boundary(2)
+    for _ in range(subdivisions):
+        t, coloring = barycentric_subdivide(t)
+    north, south = len(t.vertices), len(t.vertices) + 1
+    cone = [(*s, apex) for s in t.simplices for apex in (north, south)]
+    return Triangulation.from_simplices(3, cone), {**coloring, north: 4, south: 4}
+
+
+def test_every_residue_of_a_suspension_is_planar_past_the_ball():
+    """The residue on colors 1-3 of the suspension's gem is the two apex
+    links, spheres of 1,728 triangles each, far past the ball: their balls
+    are planar, so both take the full test, and every residue is planar, one
+    per vertex of the 3-sphere."""
+    t, coloring = _suspended_sphere(3)
+    report = gem_report(gem_from_coloring(t, coloring))
+    assert report.vertex_count == 2 * 1728 > 2 * _BALL
+    assert report.triple_components[0] == ((1, 2, 3), 2, (True, True))
+    assert report.all_planar
+    assert report.r_count == len(t.vertices)
