@@ -2,12 +2,17 @@
 end boundary matrices in closed form.
 
 Boundary matrices are eliminated over the integers with arbitrary precision;
-no modular shortcuts, so torsion coefficients are exact.  Boundary matrices
-are mostly +-1, so sparse sweeps over the rows first eliminate unit pivots:
-each row is pivoted on its +-1 entry in the column with the fewest rows.
-The small remainder without unit entries is reduced in the same sparse rows,
-always pivoting on an entry of least absolute value, which keeps the
-intermediate coefficients small.
+no modular shortcuts, so torsion coefficients are exact.  Free pairs go
+first (coreductions: Mrozek and Batko, "Coreduction homology algorithm",
+DCG 2009): a row with a +-1 in a column that holds no other entry is a unit
+factor, and column operations clear the rest of its row without touching
+any other, so the matrix is 1 (+) the other rows, which are never copied.
+Sweeps over the rows left repeat this with the column counts kept in step.
+Boundary matrices are mostly +-1, so sparse sweeps over whatever rows remain
+then eliminate unit pivots: each row is pivoted on its +-1 entry in the
+column with the fewest rows.  The small remainder without unit entries is
+reduced in the same sparse rows, always pivoting on an entry of least
+absolute value, which keeps the intermediate coefficients small.
 
 The boundary matrices are reduced top down, from the top dimension n to 1,
 and the unit pivots of each one clear rows from the next ("clearing", or the
@@ -18,13 +23,17 @@ are the k-faces and its columns the (k-1)-faces.  Each pivot row of the
 unit sweep of the (k+1)-boundary is an integer combination of its rows, the
 boundary of a (k+1)-chain, so it is a k-cycle z with +-1 at its pivot
 k-face and 0 at every earlier pivot face (each pivot clears its column from
-all rows still in play).  Replacing the rows of the pivot faces by the
-combinations z1, z2, ... of rows is then a unitriangular, so unimodular,
-row operation, and each new row is the boundary of a cycle, which is 0.  So
-the k-boundary matrix without those rows has the same invariant factors,
-not only the same rank.  This holds over the integers because the pivots
-are +-1, and only for the unit sweep: the smallest-pivot remainder also
-uses column operations, so its pivots are not cleared.
+all rows still in play).  A free pair's row is such a z as it stands: it
+is a row of the matrix, +-1 in its column, and 0 in every earlier pair's
+column, since each of those held one row only, now gone; and the rows left
+for the unit sweep are 0 in every pair's column.  Replacing the rows of the
+pivot faces by the combinations z1, z2, ... of rows is then a
+unitriangular, so unimodular, row operation, and each new row is the
+boundary of a cycle, which is 0.  So the k-boundary matrix without those
+rows has the same invariant factors, not only the same rank.  This holds
+over the integers because the pivots are +-1, and only for the free pairs
+and the unit sweep: the smallest-pivot remainder also uses column
+operations, so its pivots are not cleared.
 
 The two end matrices need no elimination, and one routine serves both:
 ``triangulation._signed_forest``, a union-find that grows a spanning forest
@@ -69,6 +78,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .triangulation import Triangulation, _faces, _signed_forest
@@ -171,22 +181,61 @@ def smith_invariant_factors(
 ) -> list[int]:
     """Invariant factors of a sparse integer matrix (rows of {col: value}).
 
-    Unit pivots are eliminated sparsely in sweeps over the rows: each row
-    with a +-1 entry is pivoted on the one whose column currently has the
-    fewest rows, which clears that column from the other rows, and the sweep
-    is repeated while the previous one eliminated something.  Choosing the
-    pivot costs O(row length), not a scan of the whole matrix.  Whatever
-    remains (no unit entries) is reduced in the same sparse rows by
-    :func:`_smallest_pivot_diagonal`.  The input rows are not modified.
+    Free pairs go first, before any row is copied.  Each column's nonzero
+    entries are counted, and sweeps over the rows pair a row with a column
+    that holds a +-1 of that row and no other entry; the pair is a unit
+    factor, and the counts of the row's other columns drop by one.  The
+    sweeps repeat while the previous one paired something.  The pair's
+    column holds no other row, so column operations clear the rest of its
+    row and leave 1 (+) the other rows, untouched: the pivot makes no fill.
 
-    ``pivots`` is an output: when a list is passed, the column of each pivot
-    of the unit sweep is appended to it, in pivot order (the remainder's
-    pivots are not).  :func:`homology` clears those columns' faces from the
-    next boundary matrix down; the factors do not depend on it.
+    Only the rows left are copied into sparse rows.  Unit pivots are then
+    eliminated in sweeps over them: each row with a +-1 entry is pivoted on
+    the one whose column currently has the fewest rows, which clears that
+    column from the other rows, and the sweep is repeated while the previous
+    one eliminated something.  Choosing the pivot costs O(row length), not a
+    scan of the whole matrix.  Whatever remains (no unit entries) is reduced
+    in the same sparse rows by :func:`_smallest_pivot_diagonal`.  The input
+    rows are not modified.
+
+    ``pivots`` is an output: when a list is passed, the column of each free
+    pair and then of each pivot of the unit sweep is appended to it, in
+    pivot order (the remainder's pivots are not).  :func:`homology` clears
+    those columns' faces from the next boundary matrix down; the factors do
+    not depend on it.  A paired row is a row of the matrix with 0 in every
+    earlier pair's column, which held one row only, so it clears as the unit
+    sweep's pivot rows do (see the module docstring).
     """
-    row_data, col_index = _sparse(rows)
+    counts: dict[int, int] = {}
+    for row in rows:
+        for c, v in row.items():
+            if v:
+                counts[c] = counts.get(c, 0) + 1
 
     ones = 0
+    left = rows
+    paired = True
+    while paired:
+        paired = False
+        rest = []
+        for row in left:
+            for pc, v in row.items():
+                if (v == 1 or v == -1) and counts[pc] == 1:
+                    break
+            else:
+                rest.append(row)
+                continue
+            for c, v in row.items():
+                if v:
+                    counts[c] -= 1
+            if pivots is not None:
+                pivots.append(pc)
+            ones += 1
+            paired = True
+        left = rest
+
+    row_data, col_index = _sparse(left)
+
     eliminated = True
     while eliminated:
         eliminated = False
@@ -245,13 +294,20 @@ class HomologyProfile:
 def _boundary_rows(
     k_faces: Iterable[tuple[int, ...]], lower_index: dict[tuple[int, ...], int]
 ) -> list[dict[int, int]]:
+    """The rows of a boundary matrix: per k-face, {id of its facet: sign}.
+
+    The facet that drops the vertex at position i has sign (-1)^i.
+    ``combinations(face, k)`` yields the facets dropping the last vertex
+    first, positions k, k-1, ..., 0, so each row is built in that order,
+    zipped with the signs (-1)^k, ..., -1, 1.
+    """
     rows = []
+    signs: list[int] = []
     for face in k_faces:
-        row: dict[int, int] = {}
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            row[lower_index[sub]] = -1 if i % 2 else 1
-        rows.append(row)
+        k = len(face) - 1
+        if len(signs) != k + 1:
+            signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
+        rows.append(dict(zip(map(lower_index.__getitem__, combinations(face, k)), signs)))
     return rows
 
 

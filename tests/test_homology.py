@@ -38,6 +38,11 @@ def _dense(rows):
     ]
 
 
+def _with_zeros(rows):
+    """Every entry, zeros included: the SNF must count only nonzero ones."""
+    return [{j: v for j, v in enumerate(row)} for row in rows]
+
+
 def test_snf_identity():
     assert smith_invariant_factors(_dense([[1, 0], [0, 1]])) == [1, 1]
 
@@ -116,6 +121,9 @@ def test_snf_matches_dense_and_sympy_oracles(matrix):
 
     factors = smith_invariant_factors(_dense(matrix))
     assert factors == _whole_matrix_factors(matrix)
+    zeros = _with_zeros(matrix)
+    assert smith_invariant_factors(zeros) == factors
+    assert zeros == _with_zeros(matrix)
     snf = smith_normal_form(Matrix(matrix), domain=ZZ)
     diagonal = [abs(snf[k, k]) for k in range(min(snf.shape))]
     assert factors == [int(d) for d in diagonal if d]
@@ -161,8 +169,12 @@ def test_snf_dense_remainder_after_unit_elimination(monkeypatch):
     assert remainders == [{2: {2: 2, 3: 4}, 3: {2: 6, 3: 8}}]
 
 
+# row 1 pairs with column 0, then row 0 with column 1; if the zero in row 0
+# counted, no column would hold one entry, and the unit sweep would pivot
+# row 0 first, in column 1
 @settings(max_examples=200, deadline=None)
 @given(_integer_matrices())
+@example([[0, 1], [1, 1]])
 def test_snf_pivots_output_names_distinct_unit_columns(matrix):
     rows = _dense(matrix)
     before = [dict(row) for row in rows]
@@ -173,6 +185,11 @@ def test_snf_pivots_output_names_distinct_unit_columns(matrix):
     assert len(set(pivots)) == len(pivots)
     assert set(pivots) <= {c for row in rows for c in row}
     assert len(pivots) <= factors.count(1)
+    zeros = _with_zeros(matrix)
+    zero_pivots = []
+    assert smith_invariant_factors(zeros, zero_pivots) == factors
+    assert zero_pivots == pivots
+    assert zeros == _with_zeros(matrix)
 
 
 def test_snf_pivots_output_leaves_out_the_remainder():
@@ -182,6 +199,41 @@ def test_snf_pivots_output_leaves_out_the_remainder():
     matrix = [[1, 1, 0, 0], [0, -1, 0, 0], [2, 0, 2, 4], [0, 3, 6, 8]]
     assert smith_invariant_factors(_dense(matrix), pivots) == [1, 1, 2, 4]
     assert sorted(pivots) == [0, 1]
+
+
+def _sparse_spy(monkeypatch):
+    """The rows that each call of ``_sparse`` receives, by call."""
+    module = importlib.import_module("colorplex.homology")
+    received = []
+
+    def recording(rows):
+        received.append([dict(row) for row in rows])
+        return _sparse(rows)
+
+    monkeypatch.setattr(module, "_sparse", recording)
+    return received
+
+
+def test_free_pairs_repeat_the_sweep_until_none_is_left(monkeypatch):
+    # column 0 holds both rows, so the first sweep pairs row 1 with column
+    # 1 only; that leaves row 0 alone in column 0, paired in a second sweep
+    received = _sparse_spy(monkeypatch)
+    pivots = []
+    assert smith_invariant_factors(_dense([[1, 0], [-1, 1]]), pivots) == [1, 1]
+    assert pivots == [1, 0]
+    assert received == [[]]
+
+
+def test_free_pairs_leave_nothing_of_the_sphere_boundaries(monkeypatch):
+    """Every middle boundary matrix of the 5-dimensional cross-polytope,
+    over the rows that clearing keeps, is paired off before ``_sparse``; a
+    matrix without a column of one entry reaches it whole."""
+    received = _sparse_spy(monkeypatch)
+    assert homology(cross_polytope_boundary(5)).betti == (1, 0, 0, 0, 0, 1)
+    assert received == [[], [], []]
+    received.clear()
+    assert smith_invariant_factors(_dense(BLOW_UP_A)) == [1] * 7
+    assert received == [_dense(BLOW_UP_A)]
 
 
 def test_normalise_sets_units_aside():
@@ -392,6 +444,23 @@ def test_homology_with_clearing_matches_full_boundary_matrices(t):
     assert profile == _reference_homology(t)
     if t.dimension >= 2:  # the 1-boundary is a graph rank at any n
         assert (t.dimension not in rows) == validate(t).closed
+
+
+def test_each_middle_matrix_gets_the_rows_the_one_above_leaves():
+    """On a sphere every pivot of the matrix above is a unit pivot, so
+    clearing keeps, in each dimension k that goes through the SNF, the
+    k-faces less the rank of the (k+1)-boundary.  The ranks come from the
+    face counts alone: b_n = 1 and b_k = 0 below, down to k = 1."""
+    for n in (4, 5):
+        t = cross_polytope_boundary(n)
+        profile, rows = _factored_rows(t)
+        assert profile.betti == (1,) + (0,) * (n - 1) + (1,)
+        rank_above = len(t.simplices) - 1
+        for k in range(n - 1, 1, -1):
+            faces = len(set_faces(t, k))
+            assert rows[k] == faces - rank_above, (n, k)
+            rank_above = faces - rank_above
+        assert set(rows) == set(range(2, n))
 
 
 def test_suspended_and_thickened_projective_planes_keep_their_torsion():
