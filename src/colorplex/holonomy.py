@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetError
 from .perms import CLOSURE_DEGREE_LIMIT, Permutation, subgroup_closure
@@ -94,7 +95,12 @@ class HolonomyData:
 
     @property
     def trivial(self) -> bool:
-        return all(p.is_identity for p in self.permutations)
+        """True iff every generator permutation is the identity.  Each
+        distinct permutation object is checked once (``_distinct``): equal
+        permutations that are separate objects are checked once each, so
+        the answer never depends on ``hol_generators`` interning them, only
+        the time does."""
+        return all(p.is_identity for p in _distinct(self.permutations).values())
 
     def _chain_to_base(self, sid: int) -> list[int]:
         chain = [sid]
@@ -108,6 +114,14 @@ class HolonomyData:
         to_a = self._chain_to_base(a)[::-1]
         from_b = self._chain_to_base(b)
         return tuple(to_a + from_b)
+
+
+def _distinct(perms) -> dict[int, Permutation]:
+    """``perms`` by object identity, each object once, in order of first
+    occurrence: one C-level pass with no hash of a permutation's fields.
+    ``hol_generators`` interns its permutations, so this leaves at most
+    (n+1)! of them."""
+    return dict(zip(map(id, perms), perms))
 
 
 def _transport(colors: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -140,8 +154,12 @@ def hol_generators(
     interned by value: the walk makes at most (n+1)! * (n+1)^2 distinct
     steps, and the returned ``colors`` share at most (n+1)! tuple objects.
     Each pair of tree and crossed colors likewise builds its permutation
-    once, and equal permutations are one object, which keeps the readers'
-    dictionaries keyed by permutation off the field-by-field comparison.
+    once, and equal permutations are one object.  The readers
+    (``HolonomyData.trivial``, ``holonomy_invariants``) work per distinct
+    permutation object, so interning keeps them at (n+1)! permutations or
+    fewer; it makes them fast, not correct.  The found generators are
+    sorted by their (a, b) key alone: the pairs are distinct, because two
+    simplices share at most one facet.
 
     ``reverse_neighbors`` flips the visiting order, producing a different
     spanning tree; when all generators are trivial the resulting colors
@@ -191,12 +209,12 @@ def hol_generators(
                     perm = Permutation(tuple(images))
                     perm = generated[pair] = distinct.setdefault(perm, perm)
                 found.append(((cur, nb), perm))
-    found.sort()
+    found.sort(key=itemgetter(0))
     return HolonomyData(
         parent=tuple(parent),
         colors=tuple(colors),
-        generators=tuple(ab for ab, _perm in found),
-        permutations=tuple(perm for _ab, perm in found),
+        generators=tuple(map(itemgetter(0), found)),
+        permutations=tuple(map(itemgetter(1), found)),
     )
 
 
@@ -295,10 +313,11 @@ def is_colorable(t: Triangulation) -> dict[int, int] | None:
 def verify_coloring(t: Triangulation, coloring, color_count: int) -> bool:
     """Check a region coloring: total, colors within 1..color_count, and both
     endpoints of every 1-skeleton edge distinct."""
-    missing = [v for v in t.vertices if v not in coloring]
+    vertices = t.vertices
+    missing = [v for v in vertices if v not in coloring]
     if missing:
         raise ValueError(f"partial coloring; missing regions {missing[:5]}")
-    if any(not 1 <= coloring[v] <= color_count for v in t.vertices):
+    if any(not 1 <= coloring[v] <= color_count for v in vertices):
         return False
     for s in t.simplices:
         for a, b in itertools.combinations(s, 2):
@@ -358,25 +377,30 @@ def holonomy_invariants(t: Triangulation) -> dict:
     dual edges, fixed by the dual graph.  ``cycle_types`` and
     ``cycle_strings`` describe one generator per non-tree edge, so they
     depend on the tree: another breadth-first order can change even their
-    multiset.  Color degrees above the closure limit raise BudgetError."""
+    multiset.  Color degrees above the closure limit raise BudgetError.
+
+    Each distinct permutation object (``_distinct``) is described and
+    checked once, and the generators read their descriptions by ``id``;
+    equal permutations that are separate objects would only be described
+    once each, so interning affects the time alone."""
     degree = t.dimension + 1
     if degree > CLOSURE_DEGREE_LIMIT:
         raise BudgetError(
             f"holonomy degree {degree} exceeds the closure limit {CLOSURE_DEGREE_LIMIT}"
         )
     hol = t.holonomy
-    # at most degree! distinct permutations among the generators
-    described = {
-        p: (p.cycle_type(), p.cycle_string()) for p in dict.fromkeys(hol.permutations)
-    }
-    order, _elements = subgroup_closure(described, degree=degree)
+    distinct = _distinct(hol.permutations)
+    types = {k: p.cycle_type() for k, p in distinct.items()}
+    strings = {k: p.cycle_string() for k, p in distinct.items()}
+    ids = list(map(id, hol.permutations))
+    order, _elements = subgroup_closure(distinct.values(), degree=degree)
     return {
         "degree": degree,
         "generator_count": len(hol.generators),
-        "cycle_types": tuple(described[p][0] for p in hol.permutations),
-        "cycle_strings": tuple(described[p][1] for p in hol.permutations),
+        "cycle_types": tuple(map(types.__getitem__, ids)),
+        "cycle_strings": tuple(map(strings.__getitem__, ids)),
         "image_order": order,
-        "trivial": all(p.is_identity for p in described),
+        "trivial": all(p.is_identity for p in distinct.values()),
     }
 
 

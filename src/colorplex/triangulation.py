@@ -425,9 +425,12 @@ class FaceCensus:
 
 def _faces(t: Triangulation, k: int) -> list[tuple[int, ...]]:
     """The k-faces of ``t``, sorted: a face's position is its face id.
-    Raises BudgetError, before enumerating, when ``t`` may have more than
-    FACE_BUDGET faces."""
+    The vertices (k = 0) are one 1-tuple per distinct vertex id, made after
+    the ids are collected, not one per occurrence.  Raises BudgetError,
+    before enumerating, when ``t`` may have more than FACE_BUDGET faces."""
     _check_face_budget(t.dimension, len(t.simplices))
+    if k == 0:
+        return list(zip(sorted(set(chain.from_iterable(t.simplices)))))
     return sorted(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1)))))
 
 
@@ -438,7 +441,8 @@ def _census(t: Triangulation) -> FaceCensus:
     codim2 = ()
     if n >= 2:
         degree = Counter(chain.from_iterable(map(combinations, t.simplices, repeat(n - 1))))
-        codim2 = tuple(sorted(degree.items()))
+        faces = sorted(degree)  # the keys alone, then each face's degree
+        codim2 = tuple(zip(faces, map(degree.__getitem__, faces)))
         counts.append(len(degree))
     # every facet is either shared by two simplices (a pair of slots) or bad
     index = t.facet_index

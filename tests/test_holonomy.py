@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -544,14 +545,43 @@ def test_hol_generators_match_propagate(reverse_neighbors):
         assert got == _propagated_holonomy(t, reverse_neighbors)
 
 
+def _holding(t, hol):
+    """A fresh copy of ``t`` that holds ``hol`` as its holonomy."""
+    copy = Triangulation(t.dimension, t.simplices)
+    vars(copy)["holonomy"] = hol
+    return copy
+
+
 def test_invariants_over_distinct_generators_match_full_closure():
-    for t in _examples_and_subdivisions():
-        inv = holonomy_invariants(t)
-        perms = hol_generators(t).permutations
-        assert inv["image_order"] == subgroup_closure(perms, degree=t.dimension + 1)[0]
-        assert inv["cycle_types"] == tuple(p.cycle_type() for p in perms)
-        assert inv["cycle_strings"] == tuple(p.cycle_string() for p in perms)
-        assert inv["trivial"] == all(p.is_identity for p in perms)
+    """``trivial`` and ``holonomy_invariants`` against a per-generator scan,
+    on colorable, obstructed and non-orientable (``rp2_6`` subdivided)
+    inputs, over both trees, and with a fresh ``Permutation`` object per
+    generator: the readers' dedupe by identity is only a speed-up."""
+    rng = random.Random(9)
+    bases = [torus7(), rp2_6(), cross_polytope_boundary(2), cross_polytope_boundary(3)]
+    obstructed = [_stellar_moves(b, rng, rng.randint(1, 4)) for b in bases for _ in range(3)]
+    seen = set()
+    for t in _examples_and_subdivisions() + obstructed:
+        degree = t.dimension + 1
+        for reverse_neighbors in (False, True):
+            hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
+            perms = hol.permutations
+            expected = {
+                "degree": degree,
+                "generator_count": len(hol.generators),
+                "cycle_types": tuple(p.cycle_type() for p in perms),
+                "cycle_strings": tuple(p.cycle_string() for p in perms),
+                "image_order": subgroup_closure(perms, degree=degree)[0],
+                "trivial": all(p.is_identity for p in perms),
+            }
+            fresh = dataclasses.replace(
+                hol, permutations=tuple(Permutation(p.images) for p in perms)
+            )
+            for held in (hol, fresh):
+                assert held.trivial == expected["trivial"]
+                assert holonomy_invariants(_holding(t, held)) == expected
+            seen.add(hol.trivial)
+    assert seen == {False, True}
 
 
 def _stellar_moves(t, rng, moves):
@@ -616,3 +646,21 @@ def test_one_holonomy_per_input(monkeypatch):
             defect_free_four_coloring(t)
         is_colorable(t)
     assert list(map(id, calls)) == list(map(id, inputs))
+
+
+# ---------------------------------------------------------------------------
+# the readers work per distinct permutation
+
+
+def test_readers_check_each_distinct_permutation_once(monkeypatch):
+    t = barycentric_subdivide(cross_polytope_boundary(3))[0]
+    checks = []
+    is_identity = Permutation.is_identity.fget
+    monkeypatch.setattr(
+        Permutation, "is_identity", property(lambda p: checks.append(p) or is_identity(p))
+    )
+    assert is_colorable(t) is not None
+    assert holonomy_invariants(t)["trivial"]
+    assert len(t.holonomy.generators) == 385
+    # a per-generator scan would check each of the 385 generators
+    assert 0 < len(checks) <= math.factorial(t.dimension + 1)

@@ -431,6 +431,14 @@ def test_face_lattice_matches_a_set_enumeration():
             assert tri._faces(t, k) == set_faces(t, k)
 
 
+def test_vertex_faces_are_sorted_whatever_the_set_order():
+    # ids 0, 9, ..., 54 come out of a set of ints in table order, not ascending
+    t = Triangulation.from_simplices(2, [[9 * v for v in s] for s in torus7().simplices])
+    ids = set(itertools.chain.from_iterable(t.simplices))
+    assert list(ids) != sorted(ids)
+    assert tri._faces(t, 0) == set_faces(t, 0) == [(v,) for v in sorted(ids)]
+
+
 def _subdivision_by_sorted_prefixes(t):
     """The maximal chains of faces, each read off one permutation of a
     simplex's vertices by sorting its prefixes; face ids by (dimension,
