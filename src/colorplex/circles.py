@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import BudgetError, FormatError
+from .errors import FormatError
 from .gamma import LayeredIntersectionData
 from .holonomy import _least_proper_coloring
 from .perms import Permutation
-from .triangulation import FACE_BUDGET
+from .triangulation import _check_face_budget
 
 
 def _layer_fault(li: int, points, circumference: Fraction) -> str | None:
@@ -182,7 +182,7 @@ def parse_circle_layers(text: str) -> CircleLayers:
         )
         fault = _layer_fault(len(layers) + 1, points, circumference)
         if fault is not None:
-            raise FormatError(fault)
+            raise FormatError(fault, no)
         layers.append(points)
     return CircleLayers(circumference=circumference, layers=tuple(layers))
 
@@ -263,16 +263,11 @@ def circle_intersections(cl: CircleLayers) -> LayeredIntersectionData:
     holds it and whose entered arc is in it.
 
     A stab holds j + 1 arcs, so its subsets are the 2^(j+1) - 1 faces of a
-    j-simplex.  When the boundary points times that may exceed FACE_BUDGET,
-    BudgetError is raised before any subset is listed; j is checked against
-    the budget's bit length first, before the power is formed.
+    j-simplex, and the stabs are counted as j-simplices, one per boundary
+    point, against the face budget (``_check_face_budget``): BudgetError is
+    raised before any subset is listed.
     """
-    points = cl.arc_count()  # one boundary point starts each arc
-    if cl.j >= FACE_BUDGET.bit_length() - 1 or points * ((1 << cl.j + 1) - 1) > FACE_BUDGET:
-        raise BudgetError(
-            f"{points} boundary points of {cl.j} layers may have up to {points} * "
-            f"(2^{cl.j + 1} - 1) intersections, over the face budget of {FACE_BUDGET}"
-        )
+    _check_face_budget(cl.j, cl.arc_count())  # one boundary point starts each arc
     tagged: dict[tuple[str, ...], int] = {}
     for _layer, ended, entered, underfoot in _crossings(cl):
         stab = tuple(sorted([ended, *underfoot]))

@@ -341,10 +341,7 @@ def _run_gamma(args):
         raise FormatError("gamma needs an intersection-data JSON file")
     from .gamma import gamma_complex, intersection_data_from_json
 
-    try:
-        data = intersection_data_from_json(_read_file(args.input))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
+    data = intersection_data_from_json(_read_file(args.input))
     complex_ = gamma_complex(data)
     return {
         "n": data.n,

@@ -107,15 +107,18 @@ def _array(value, key: str) -> list:
     return value
 
 
-def intersection_data_from_json(source) -> LayeredIntersectionData:
-    """Build intersection data from a JSON document (text or parsed dict).
-    Region ids are coerced to strings.  A missing key, a value of the wrong
-    type, a ``regions`` value that is not an array or a non-integer
-    ``n``/``j``/``layer``/``dim`` raises
+def intersection_data_from_json(text: str) -> LayeredIntersectionData:
+    """Build intersection data from the text of a JSON document.
+    Region ids are coerced to strings.  Text that is not JSON, a missing
+    key, a value of the wrong type, a ``regions`` value that is not an array
+    or a non-integer ``n``/``j``/``layer``/``dim`` raises
     :class:`FormatError`; faults between entries (missing singletons or
     subsets, one-layer meetings) stay the ``ValueError`` of
     :class:`LayeredIntersectionData`."""
-    obj = json.loads(source) if isinstance(source, str) else source
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}") from None
     try:
         regions = tuple(
             (str(r["id"]), _integer(r["layer"], "layer"))

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .errors import BudgetError
 from .perms import CLOSURE_DEGREE_LIMIT, Permutation, subgroup_closure
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _slot_facet
 
 BRUTE_FORCE_VERTEX_LIMIT = 40
 
@@ -255,9 +255,8 @@ def link_loop_permutation(t: Triangulation, face) -> tuple[Permutation, int]:
     while True:
         m = index.mates[cur * width + drop]
         if m < 0:
-            s = t.simplices[cur]
             raise ValueError(
-                f"a loop around {face} reaches the facet {s[:drop] + s[drop + 1 :]}, "
+                f"a loop around {face} reaches the facet {_slot_facet(t, cur * width + drop)}, "
                 "which two simplices do not share"
             )
         nxt, j = divmod(m, width)
@@ -379,10 +378,11 @@ def holonomy_invariants(t: Triangulation) -> dict:
     depend on the tree: another breadth-first order can change even their
     multiset.  Color degrees above the closure limit raise BudgetError.
 
-    Each distinct permutation object (``_distinct``) is described and
-    checked once, and the generators read their descriptions by ``id``;
-    equal permutations that are separate objects would only be described
-    once each, so interning affects the time alone."""
+    Each distinct permutation object (``_distinct``) is described once, and
+    the generators read their descriptions by ``id``; equal permutations
+    that are separate objects would only be described once each, so
+    interning affects the time alone.  ``trivial`` is read off the closure:
+    the image has order 1 exactly when every generator is the identity."""
     degree = t.dimension + 1
     if degree > CLOSURE_DEGREE_LIMIT:
         raise BudgetError(
@@ -400,7 +400,7 @@ def holonomy_invariants(t: Triangulation) -> dict:
         "cycle_types": tuple(map(types.__getitem__, ids)),
         "cycle_strings": tuple(map(strings.__getitem__, ids)),
         "image_order": order,
-        "trivial": all(p.is_identity for p in distinct.values()),
+        "trivial": order == 1,
     }
 
 

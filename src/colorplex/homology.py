@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .triangulation import Triangulation, _faces, _signed_forest
+from .triangulation import Triangulation, _faces, _signed_forest, _slot_facet
 
 
 def _sparse(
@@ -359,14 +359,10 @@ def homology(t: Triangulation) -> HomologyProfile:
             factors[n] = [1] * len(index.tree) + [2] * sum(1 for bits in index.odd if bits & 2)
             # every slot is paired: one facet per pair, the tree's left out
             sizes[n - 1] = len(index.mates) // 2
-            width = n + 1
             tree = set(index.tree)
-            kept = []
-            for x, y in enumerate(index.mates):
-                if x < y and x not in tree:
-                    a, i = divmod(x, width)
-                    s = t.simplices[a]
-                    kept.append(s[:i] + s[i + 1 :])
+            kept = [
+                _slot_facet(t, x) for x, y in enumerate(index.mates) if x < y and x not in tree
+            ]
         else:
             lower = _faces(t, k - 1)
             sizes[k - 1] = len(lower)

@@ -90,21 +90,17 @@ class Permutation:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
 
 
-def subgroup_closure(
-    generators, degree: int | None = None
-) -> tuple[int, tuple[Permutation, ...]]:
-    """Exhaustive closure of a generating set under composition.
+def subgroup_closure(generators, degree: int) -> tuple[int, tuple[Permutation, ...]]:
+    """Exhaustive closure under composition of a generating set of
+    permutations of ``degree``, which may be empty.
 
     Returns (order, sorted element tuple).  The identity is always included.
-    Degrees above CLOSURE_DEGREE_LIMIT are refused to keep the closure
-    enumerable.  Invariant: there are at most degree! distinct permutations
-    of that degree, so the closure ends within the full symmetric group.
+    A generator of another degree raises ValueError; degrees above
+    CLOSURE_DEGREE_LIMIT are refused to keep the closure enumerable.
+    Invariant: there are at most degree! distinct permutations of that
+    degree, so the closure ends within the full symmetric group.
     """
     generators = list(generators)
-    if degree is None:
-        if not generators:
-            raise ValueError("degree required when the generating set is empty")
-        degree = generators[0].degree
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"degree mismatch: {g.degree} vs {degree}")

@@ -93,7 +93,9 @@ class Triangulation:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for s in self.simplices for v in s}))
+        """The distinct vertex ids, ascending, collected from one set over
+        every simplex; the only place they are collected."""
+        return tuple(sorted(set(chain.from_iterable(self.simplices))))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -121,6 +123,14 @@ class Triangulation:
         from .holonomy import hol_generators  # at call time: holonomy imports this module
 
         return hol_generators(self)
+
+
+def _slot_facet(t: Triangulation, x: int) -> tuple[int, ...]:
+    """The facet of slot x = a*(n+1)+i: simplex a without its vertex at
+    position i."""
+    a, i = divmod(x, t.dimension + 1)
+    s = t.simplices[a]
+    return s[:i] + s[i + 1 :]
 
 
 def _stars(t: Triangulation) -> dict[int, list[int]]:
@@ -300,9 +310,7 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
     if -1 in mates:  # an unpaired slot whose facet is not branching has degree 1
         for x, y in enumerate(mates):
             if y < 0:
-                a, i = divmod(x, width)
-                s = t.simplices[a]
-                facet = s[:i] + s[i + 1 :]
+                facet = _slot_facet(t, x)
                 if facet not in branching:
                     bad.append((facet, 1))
     bad.sort()
@@ -425,12 +433,12 @@ class FaceCensus:
 
 def _faces(t: Triangulation, k: int) -> list[tuple[int, ...]]:
     """The k-faces of ``t``, sorted: a face's position is its face id.
-    The vertices (k = 0) are one 1-tuple per distinct vertex id, made after
-    the ids are collected, not one per occurrence.  Raises BudgetError,
+    The vertices (k = 0) are one 1-tuple per id of ``Triangulation.vertices``,
+    not one per occurrence.  Raises BudgetError,
     before enumerating, when ``t`` may have more than FACE_BUDGET faces."""
     _check_face_budget(t.dimension, len(t.simplices))
     if k == 0:
-        return list(zip(sorted(set(chain.from_iterable(t.simplices)))))
+        return list(zip(t.vertices))
     return sorted(set(chain.from_iterable(map(combinations, t.simplices, repeat(k + 1)))))
 
 
@@ -487,9 +495,7 @@ def dual_graph(t: Triangulation) -> DualGraph:
     edges = []
     for x, y in enumerate(t.facet_index.mates):
         if x < y:
-            a, i = divmod(x, width)
-            s = t.simplices[a]
-            edges.append((ids[a], ids[y // width], s[:i] + s[i + 1 :]))
+            edges.append((ids[x // width], ids[y // width], _slot_facet(t, x)))
     edges.sort()  # by (a, b): two simplices share at most one facet
     return DualGraph(node_count=len(t.simplices), edges=tuple(edges))
 

@@ -52,8 +52,49 @@ def test_parse_duplicate_position():
 
 
 def test_parse_short_layer():
-    with pytest.raises(ValueError, match="need >= 2"):
+    with pytest.raises(FormatError, match="need >= 2") as err:
         parse_circle_layers("circle 1\nC=4\nlayer: 1\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("# nothing but a comment\n", "empty circle-layers file", None),
+        ("circle\n", "expected 'circle <j>', got 'circle'", 1),
+        ("circle two\n", "bad layer count 'two'", 1),
+        ("circle 0\n", "at least one layer required", 1),
+        ("circle 1\n", "missing 'C=<rational>' line", 1),
+        ("circle 1\nD=4\n", "expected 'C=<rational>', got 'D=4'", 2),
+        ("circle 1\nC=1/0\n", "malformed rational '1/0'", 2),
+        ("circle 1\nC=-1\nlayer: 0 1\n", "C must be positive, got -1", 2),
+        ("circle 2\nC=4\nlayer: 0 2\n", "expected 2 layer lines, found 1", None),
+        ("circle 1\nC=4\nlist: 0 2\n", "expected 'layer: ...', got 'list: 0 2'", 3),
+        ("circle 1\nC=4\n\nlayer: 2 1\n", "layer 1 positions must be strictly increasing", 4),
+        ("circle 2\nC=4\nlayer: 0 2\nlayer: 1 4\n", "position 4 outside [0, 4)", 4),
+    ],
+)
+def test_parse_faults_name_their_line(text, message, line):
+    with pytest.raises(FormatError) as err:
+        parse_circle_layers(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "circumference, layers, message",
+    [
+        (F(4), ((F(0), 1.5),), "position 1.5 is not a Fraction"),
+        (F(0), ((F(0), F(1)),), "circumference must be a positive rational, got Fraction(0, 1)"),
+        (4, ((F(0), F(1)),), "circumference must be a positive rational, got 4"),
+        (F(4), (), "at least one layer required"),
+    ],
+    ids=["float-position", "zero-circumference", "int-circumference", "no-layers"],
+)
+def test_circle_layers_reject_what_no_file_can_say(circumference, layers, message):
+    with pytest.raises(ValueError) as err:
+        CircleLayers(circumference, layers)
+    assert str(err.value) == message
 
 
 def test_parse_malformed_number():
@@ -206,8 +247,9 @@ def _two_point_layers(j):
 
 
 def test_intersections_over_the_face_budget_raise_before_the_walk(monkeypatch):
-    # each of the 2j points has a stab of j + 1 arcs with 2^(j+1) - 1 subsets;
-    # 36 * (2^18 - 1) is within the face budget, 38 * (2^19 - 1) is over it
+    # each of the 2j points has a stab of j + 1 arcs with 2^(j+1) - 1 subsets,
+    # counted as the faces of one j-simplex per point: 34 * (2^18 - 1) is
+    # within the face budget, 36 * (2^19 - 1) is over it
     def walk(cl):
         raise LookupError("walked")
 
@@ -217,6 +259,17 @@ def test_intersections_over_the_face_budget_raise_before_the_walk(monkeypatch):
     for j in (18, 20, 64):
         with pytest.raises(BudgetError, match="face budget"):
             circle_intersections(_two_point_layers(j))
+    with pytest.raises(BudgetError) as err:
+        circle_intersections(_two_point_layers(18))
+    assert str(err.value) == (
+        f"36 simplices of dimension 18 may have up to {36 * (2**19 - 1)} faces, "
+        f"over the face budget of {2**24}"
+    )
+    with pytest.raises(BudgetError) as err:
+        circle_intersections(_two_point_layers(64))
+    assert str(err.value) == (
+        f"one simplex of dimension 64 has 2^65 - 1 faces, over the face budget of {2**24}"
+    )
 
 
 def _clustered_layers(rng, circumference):

@@ -631,6 +631,57 @@ def test_gamma_cross_entry_fault_exits_1(capsys, tmp_path):
     assert "singleton" in doc["diagnostics"][0]
 
 
+def _json_fault(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(text)
+
+
+@pytest.mark.parametrize(
+    "args, text, code, diagnostic",
+    [
+        (("validate",), "dim 2\n0 1 x\n", 2, "line 2: non-integer vertex id in '0 1 x'"),
+        (("validate",), OPEN_DISK, 1, "input failed validation"),
+        (
+            ("circle", "holonomy"),
+            "circle 1\nC=4\nlayer: 2 1\n",
+            2,
+            "line 3: layer 1 positions must be strictly increasing",
+        ),
+        (
+            ("circle", "holonomy"),
+            "circle 2\nC=4\nlayer: 0 2\nlayer: 0 3\n",
+            1,
+            "duplicate position 0 (layers 1 and 2)",
+        ),
+        (("gem", "report"), "gem 3\n0 1 x\n", 2, "line 2: non-integer token in '0 1 x'"),
+        (("gem", "report"), "gem 3\n0 1 1\n0 1 2\n0 1 3\n", 1, "vertex 0 has degree 3, expected 4"),
+        (("gamma",), "{", 2, f"bad JSON: {_json_fault('{')}"),
+        (
+            ("gamma",),
+            json.dumps(dict(GAMMA_ARC_PAIR, j=0)),
+            1,
+            "need n >= 1 and j >= 1, got n=1, j=0",
+        ),
+    ],
+    ids=[
+        "triangulation-syntax", "triangulation-structure", "circle-syntax", "circle-structure",
+        "gem-syntax", "gem-structure", "gamma-syntax", "gamma-structure",
+    ],
+)
+def test_each_file_format_exits_2_on_syntax_and_1_on_structure(
+    capsys, tmp_path, args, text, code, diagnostic
+):
+    path = tmp_path / "input"
+    path.write_text(text)
+    status, doc = run_in_process(capsys, *args, str(path))
+    assert status == code
+    assert doc["diagnostics"] == [diagnostic]
+    assert doc["subcommand"] == " ".join(args)
+
+
 def test_gem_report_and_dot(tmp_path):
     path = tmp_path / "min.gem"
     path.write_text(MINIMAL_GEM)

@@ -182,7 +182,6 @@ def test_json_round_trip():
     )
     regions = tuple((r["id"], r["layer"]) for r in obj["regions"])
     assert data == LayeredIntersectionData(1, 2, regions, tuple(entries))
-    assert intersection_data_from_json(obj) == data
     assert gamma_complex(data).census() == {0: 4, 1: 6, 2: 4}
 
 
@@ -194,21 +193,21 @@ def test_json_regions_of_an_intersection_must_be_an_array(value):
         if x["regions"] == ["a", "b"]:
             x["regions"] = value
     with pytest.raises(FormatError, match="regions must be an array"):
-        intersection_data_from_json(obj)
+        intersection_data_from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("value", ["ab", {"a": 1}])
 def test_json_region_list_must_be_an_array(value):
     obj = dict(_json_instance(), regions=value)
     with pytest.raises(FormatError, match="regions must be an array"):
-        intersection_data_from_json(obj)
+        intersection_data_from_json(json.dumps(obj))
 
 
 def test_json_missing_singleton_rejected():
     obj = _json_instance()
     obj["intersections"] = [x for x in obj["intersections"] if x["regions"] != ["a"]]
     with pytest.raises(ValueError, match="singleton"):
-        intersection_data_from_json(obj)
+        intersection_data_from_json(json.dumps(obj))
 
 
 def test_json_subset_closure_enforced():
@@ -217,7 +216,7 @@ def test_json_subset_closure_enforced():
         x for x in obj["intersections"] if x["regions"] != ["a", "b"]
     ]
     with pytest.raises(ValueError, match="subset"):
-        intersection_data_from_json(obj)
+        intersection_data_from_json(json.dumps(obj))
 
 
 def test_json_same_layer_full_dim_rejected():
@@ -226,14 +225,94 @@ def test_json_same_layer_full_dim_rejected():
         if x["regions"] == ["a", "b"]:
             x["dim"] = 1
     with pytest.raises(ValueError, match="one layer"):
-        intersection_data_from_json(obj)
+        intersection_data_from_json(json.dumps(obj))
 
 
 def test_json_bad_layer_index():
     obj = _json_instance()
     obj["regions"][0]["layer"] = 7
     with pytest.raises(ValueError, match="layer"):
-        intersection_data_from_json(obj)
+        intersection_data_from_json(json.dumps(obj))
+
+
+def test_json_text_that_is_not_json_raises_a_format_error():
+    with pytest.raises(FormatError) as err:
+        intersection_data_from_json("{")
+    assert str(err.value).startswith("bad JSON: ")
+    assert err.value.line is None
+
+
+def _edited(edit):
+    obj = _json_instance()
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _entry(obj, regions):
+    return next(x for x in obj["intersections"] if x["regions"] == regions)
+
+
+# three regions of three layers on a 2-manifold, {a, b} meeting in a point
+# but {a, b, c} claiming a curve
+_SUBSET_SMALLER = json.dumps(
+    {
+        "n": 2,
+        "j": 3,
+        "regions": [{"id": r, "layer": k} for k, r in enumerate("abc", start=1)],
+        "intersections": [
+            {"regions": ["a"], "dim": 2},
+            {"regions": ["b"], "dim": 2},
+            {"regions": ["c"], "dim": 2},
+            {"regions": ["a", "b"], "dim": 0},
+            {"regions": ["a", "c"], "dim": 1},
+            {"regions": ["b", "c"], "dim": 1},
+            {"regions": ["a", "b", "c"], "dim": 1},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_edited(lambda o: o.update(n=0)), "need n >= 1 and j >= 1, got n=0, j=2"),
+        (_edited(lambda o: o.update(j=0)), "need n >= 1 and j >= 1, got n=1, j=0"),
+        (
+            _edited(lambda o: o["regions"].append({"id": "a", "layer": 2})),
+            "duplicate region id 'a'",
+        ),
+        (
+            _edited(lambda o: o["intersections"].append({"regions": ["a", "a"], "dim": 0})),
+            "repeated region in intersection ('a', 'a')",
+        ),
+        (
+            _edited(lambda o: o["intersections"].append({"regions": ["b", "a"], "dim": 0})),
+            "duplicate intersection entry ('a', 'b')",
+        ),
+        (
+            _edited(lambda o: o["intersections"].append({"regions": ["z"], "dim": 1})),
+            "intersection ('z',) names unknown regions ['z']",
+        ),
+        (
+            _edited(lambda o: _entry(o, ["a", "c"]).update(dim=2)),
+            "intersection ('a', 'c') has dimension 2",
+        ),
+        (
+            _edited(lambda o: _entry(o, ["a"]).update(dim=0)),
+            "singleton {'a'} must have dimension 1, got 0",
+        ),
+        (_SUBSET_SMALLER, "subset ['a', 'b'] has smaller dimension than ['a', 'b', 'c']"),
+    ],
+    ids=[
+        "n-below-1", "j-below-1", "duplicate-region", "repeated-region", "duplicate-entry",
+        "unknown-region", "dimension-outside-0..n", "singleton-below-n", "subset-smaller",
+    ],
+)
+def test_json_entry_faults_name_the_entry(text, message):
+    with pytest.raises(ValueError) as err:
+        intersection_data_from_json(text)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 
 def test_dimension_law_violation_reported_with_offender():
@@ -241,7 +320,7 @@ def test_dimension_law_violation_reported_with_offender():
     for x in obj["intersections"]:
         if x["regions"] == ["a", "c"]:
             x["dim"] = 0
-    data = intersection_data_from_json(obj)
+    data = intersection_data_from_json(json.dumps(obj))
     with pytest.raises(ValueError, match=r"dimension law.*'a'"):
         gamma_complex(data)
 
@@ -251,7 +330,7 @@ def test_transfer_raises_the_dimension_law_violation():
     for x in obj["intersections"]:
         if x["regions"] == ["a", "c"]:
             x["dim"] = 0
-    data = intersection_data_from_json(obj)
+    data = intersection_data_from_json(json.dumps(obj))
     coloring = {r: k for k, r in enumerate(data.region_ids())}
     with pytest.raises(ValueError, match=r"dimension law.*'a'"):
         gamma_coloring_transfer(data, coloring)

@@ -85,6 +85,22 @@ def test_parse_syntax_errors():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("gem 3\n0 1 x\n", "non-integer token in '0 1 x'", 2),
+        ("gem 3\n0 -1 1\n", "negative vertex id", 2),
+        ("# nothing but a comment\n", "missing 'gem 3' header", None),
+        ("gem 3\n\n# no edges\n", "no edges listed", None),
+    ],
+)
+def test_parse_token_and_empty_faults(text, message, line):
+    with pytest.raises(FormatError) as err:
+        parse_gem(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_serialise_round_trip():
     for gem in (MINIMAL, _cross_gem()[1]):
         assert parse_gem(gem_to_text(gem)) == gem

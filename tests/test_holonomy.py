@@ -214,9 +214,36 @@ def test_link_loops_match_path_permutation_over_a_coface_cycle():
 
 
 def test_link_loop_rejects_an_unshared_facet():
+    # around vertex 2 the loop crosses (1, 2) into (1, 2, 4), then meets its
+    # facet (2, 4), which no other triangle has
     open_disk = Triangulation.from_simplices(2, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
-    with pytest.raises(ValueError, match="which two simplices do not share"):
+    with pytest.raises(ValueError) as err:
         link_loop_permutation(open_disk, (2,))
+    assert str(err.value) == (
+        "a loop around (2,) reaches the facet (2, 4), which two simplices do not share"
+    )
+
+
+def test_link_loop_rejects_a_face_of_no_simplex():
+    # 0 and 1 are opposite vertices of the octahedral 3-sphere
+    with pytest.raises(ValueError) as err:
+        link_loop_permutation(cross_polytope_boundary(3), (0, 1))
+    assert str(err.value) == "(0, 1) is not a face of any simplex"
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_link_loop_around_the_empty_face_of_a_circle(m):
+    # n = 1: the codim-2 face is the empty face, and every edge is its coface
+    perm, degree = link_loop_permutation(circle(m), ())
+    assert degree == m
+    assert perm == Permutation.transposition(2, 1, 2).power(m)
+    assert perm.is_identity == (m % 2 == 0)
+
+
+def test_path_permutation_rejects_an_open_path():
+    with pytest.raises(ValueError) as err:
+        path_permutation(simplex_boundary(2), [0, 1])
+    assert str(err.value) == "path is not a loop"
 
 
 def test_link_loop_rejects_a_repeated_vertex():

@@ -100,13 +100,13 @@ def test_closure_empty_set():
 
 
 def test_closure_single_transposition():
-    order, _ = subgroup_closure([_tr(4, 1, 2)])
+    order, _ = subgroup_closure([_tr(4, 1, 2)], degree=4)
     assert order == 2
 
 
 def test_closure_star_transpositions_generate_s4():
     gens = [_tr(4, 1, 2), _tr(4, 1, 3), _tr(4, 1, 4)]
-    order, elements = subgroup_closure(gens)
+    order, elements = subgroup_closure(gens, degree=4)
     assert order == math.factorial(4)
     everything = {
         Permutation(images) for images in itertools.permutations(range(1, 5))
@@ -117,3 +117,9 @@ def test_closure_star_transpositions_generate_s4():
 def test_closure_degree_budget():
     with pytest.raises(BudgetError):
         subgroup_closure([], degree=9)
+
+
+def test_closure_rejects_a_generator_of_another_degree():
+    with pytest.raises(ValueError) as err:
+        subgroup_closure([_tr(4, 1, 2), _tr(3, 1, 2)], degree=4)
+    assert str(err.value) == "degree mismatch: 3 vs 4"

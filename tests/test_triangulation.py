@@ -113,6 +113,31 @@ def test_parse_missing_header():
         parse_triangulation("1 2 3\n")
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("dim x\n0 1\n", "bad dimension 'x'", 1),
+        ("# a 0-complex\ndim 0\n0\n", "dimension must be >= 1, got 0", 2),
+        ("# no content\n\n", "missing 'dim <n>' header", None),
+        ("dim 2\n# no simplices\n", "no simplices listed", None),
+    ],
+)
+def test_parse_header_faults(text, message, line):
+    with pytest.raises(FormatError) as err:
+        parse_triangulation(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_from_simplices_rejects_a_low_dimension_and_a_duplicate():
+    with pytest.raises(ValueError) as err:
+        Triangulation.from_simplices(0, [(0,)])
+    assert str(err.value) == "dimension must be >= 1, got 0"
+    with pytest.raises(ValueError) as err:
+        Triangulation.from_simplices(1, [(1, 2), (2, 3), (2, 1)])
+    assert str(err.value) == "duplicate simplex (1, 2)"
+
+
 def test_parse_non_integer():
     with pytest.raises(FormatError) as err:
         parse_triangulation("dim 1\n1 x\n")
