@@ -7,7 +7,7 @@ import math
 import operator
 
 from .errors import BudgetError
-from .triangulation import FACE_BUDGET, Triangulation, _check_face_budget, _faces
+from .triangulation import FACE_BUDGET, Triangulation, _check_face_budget, _faces, _gc_paused
 
 
 def simplex_boundary(n: int) -> Triangulation:
@@ -86,6 +86,7 @@ def example(name: str, params: list[int] | tuple[int, ...] = ()) -> Triangulatio
     return fn(*params)
 
 
+@_gc_paused
 def barycentric_subdivide(t: Triangulation) -> tuple[Triangulation, dict[int, int]]:
     """Barycentric subdivision plus its dimension colouring.
 

@@ -174,17 +174,24 @@ def parse_circle_layers(text: str) -> CircleLayers:
     if len(layer_lines) != j:
         raise FormatError(f"expected {j} layer lines, found {len(layer_lines)}")
     layers = []
-    for no, ln in layer_lines:
-        if not ln.startswith("layer:"):
-            raise FormatError(f"expected 'layer: ...', got {ln!r}", no)
-        points = tuple(
-            _parse_rational(tok, no) for tok in ln[len("layer:"):].split()
-        )
-        fault = _layer_fault(len(layers) + 1, points, circumference)
-        if fault is not None:
-            raise FormatError(fault, no)
-        layers.append(points)
-    return CircleLayers(circumference=circumference, layers=tuple(layers))
+    try:
+        for no, ln in layer_lines:
+            if not ln.startswith("layer:"):
+                raise FormatError(f"expected 'layer: ...', got {ln!r}", no)
+            layers.append(
+                tuple(_parse_rational(tok, no) for tok in ln[len("layer:"):].split())
+            )
+        return CircleLayers(circumference=circumference, layers=tuple(layers))
+    except ValueError:  # a FormatError too
+        # CircleLayers checks each layer once, on success the only check.
+        # On failure the layers read so far are checked again, in order, and
+        # the first that faults on its own is reported with its line, as a
+        # check after each line would have found it first
+        for li, ((no, _line), points) in enumerate(zip(layer_lines, layers), start=1):
+            fault = _layer_fault(li, points, circumference)
+            if fault is not None:
+                raise FormatError(fault, no) from None
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import FormatError
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _gc_paused
 
 COLOR_NAMES = {1: "red", 2: "green", 3: "blue", 4: "black"}
 
@@ -529,6 +529,7 @@ class GemReport:
         }
 
 
+@_gc_paused
 def gem_report(g: Gem) -> GemReport:
     """All six bicolored decompositions and all four 3-color analyses, read
     off the gem's mate lists."""

@@ -8,21 +8,22 @@ labeling around dual loops gives color permutations; the complex is
 (n+1)-colorable exactly when every loop acts trivially.
 
 Labelings are plain color tuples, ``colors[i]`` on a simplex's i-th smallest
-vertex.  :func:`hol_generators` transports them by position in one
-breadth-first walk; :func:`propagate` carries one across one dual edge by
-vertex, the reference for that walk and for explicit loops.
+vertex.  :func:`hol_generators` transports them by position along the
+breadth-first tree that the facet index has already grown; :func:`propagate`
+carries one across one dual edge by vertex, the reference for that transport
+and for explicit loops.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import BudgetError
 from .perms import CLOSURE_DEGREE_LIMIT, Permutation, subgroup_closure
-from .triangulation import Triangulation, _slot_facet
+from .triangulation import Triangulation, _breadth_first, _slot_facet
 
 BRUTE_FORCE_VERTEX_LIMIT = 40
 
@@ -137,81 +138,81 @@ def hol_generators(
 ) -> HolonomyData:
     """Tree-propagated colors plus one permutation per non-tree dual edge.
 
-    One breadth-first walk from simplex 0, which has color i on its i-th
-    smallest vertex, labels each simplex it reaches with the colors carried
-    across the tree edge (by position, see ``_transport``, with the same
-    result as ``propagate``).  A simplex's neighbours are read off its slots
-    in the facet index: the paired slots, sorted, hold them in ascending id,
-    because two simplices share at most one facet, and the slots that hold
-    -1 are skipped.  When the walk at ``a`` meets an already-labelled
-    neighbour ``b > a`` that is not ``a``'s parent, (a, b) is a non-tree edge
-    and its permutation is taken there: a labelled tree neighbour can only
-    be the parent, and each non-tree edge is met once from its smaller end.
-    The generators are listed in (a, b) order.
+    The tree is the facet index's breadth-first tree (``_FacetIndex.into``
+    and ``.order``): simplex 0, with color i on its i-th smallest vertex, is
+    its root, and each simplex's neighbours are taken in ascending id.
+    Following the visit order, each simplex gets the colors carried across
+    its tree edge from its parent (by position, see ``_transport``, with the
+    same result as ``propagate``); no walk of the graph is made here.  Then
+    every paired slot x < mates[x] that is not a tree edge is a non-tree
+    edge (a, b), a < b, and its permutation compares b's tree colors with
+    a's colors carried across.  The generators are sorted by their (a, b)
+    key alone: the pairs are distinct, because two simplices share at most
+    one facet.
 
     A step depends only on the colors carried and the dropped positions
     (i, j), so each distinct step is computed once per call and its result
-    interned by value: the walk makes at most (n+1)! * (n+1)^2 distinct
-    steps, and the returned ``colors`` share at most (n+1)! tuple objects.
-    Each pair of tree and crossed colors likewise builds its permutation
-    once, and equal permutations are one object.  The readers
+    interned by value: the transport makes at most (n+1)! * (n+1)^2
+    distinct steps, and the returned ``colors`` share at most (n+1)! tuple
+    objects.  Each pair of tree and crossed colors likewise builds its
+    permutation once, and equal permutations are one object.  The readers
     (``HolonomyData.trivial``, ``holonomy_invariants``) work per distinct
     permutation object, so interning keeps them at (n+1)! permutations or
-    fewer; it makes them fast, not correct.  The found generators are
-    sorted by their (a, b) key alone: the pairs are distinct, because two
-    simplices share at most one facet.
+    fewer; it makes them fast, not correct.
 
-    ``reverse_neighbors`` flips the visiting order, producing a different
-    spanning tree; when all generators are trivial the resulting colors
-    must not depend on this choice.
+    ``reverse_neighbors`` takes each simplex's neighbours in descending id,
+    which grows a different spanning tree by the same walk
+    (``_breadth_first``); when all generators are trivial the resulting
+    colors must not depend on this choice.
     """
     index = t.facet_index
     if len(index.odd) != 1:
         raise ValueError("dual graph is disconnected; validate the input first")
     mates = index.mates
     degree = t.dimension + 1
-    parent = [-1] * len(t.simplices)
+    if reverse_neighbors:
+        into, order, _odd = _breadth_first(mates, degree, reverse=True)
+    else:
+        into, order = index.into, index.order
     colors: list[tuple[int, ...] | None] = [None] * len(t.simplices)
     colors[0] = tuple(range(1, degree + 1))
-    found = []
     steps: dict[tuple[tuple[int, ...], int, int], tuple[int, ...]] = {}
     interned = {colors[0]: colors[0]}
+
+    def carried(x: int, y: int) -> tuple[int, ...]:
+        """The colors of slot x's simplex carried across to slot y's."""
+        key = (colors[x // degree], x % degree, y % degree)
+        moved = steps.get(key)
+        if moved is None:
+            moved = _transport(*key)
+            moved = steps[key] = interned.setdefault(moved, moved)
+        return moved
+
+    for b in order[1:]:  # order[0] is the root, simplex 0
+        y = into[b]
+        colors[b] = carried(mates[y], y)
+
+    found = []
     generated: dict[tuple[tuple[int, ...], tuple[int, ...]], Permutation] = {}
     distinct: dict[Permutation, Permutation] = {}
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        base = cur * degree
-        for m in sorted(mates[base : base + degree], reverse=reverse_neighbors):
-            if m < 0:
-                continue
-            nb = m // degree
-            tree = colors[nb] is None
-            if not tree and (nb < cur or nb == parent[cur]):
-                continue
-            # cur drops its vertex at position i = mates[m] - base, nb at j
-            key = (colors[cur], mates[m] - base, m % degree)
-            moved = steps.get(key)
-            if moved is None:
-                moved = _transport(*key)
-                moved = steps[key] = interned.setdefault(moved, moved)
-            if tree:
-                parent[nb] = cur
-                colors[nb] = moved
-                queue.append(nb)
-            else:
-                pair = (colors[nb], moved)
-                perm = generated.get(pair)
-                if perm is None:
-                    images = [0] * degree
-                    for c_tree, c_cross in zip(*pair):
-                        images[c_tree - 1] = c_cross
-                    perm = Permutation(tuple(images))
-                    perm = generated[pair] = distinct.setdefault(perm, perm)
-                found.append(((cur, nb), perm))
+    for x, y in enumerate(mates):
+        if y <= x:  # each pair once, from its smaller slot; -1 is unpaired
+            continue
+        a, b = x // degree, y // degree
+        if into[b] == y or into[a] == x:  # the tree edge of b or of a
+            continue
+        pair = (colors[b], carried(x, y))
+        perm = generated.get(pair)
+        if perm is None:
+            images = [0] * degree
+            for c_tree, c_cross in zip(*pair):
+                images[c_tree - 1] = c_cross
+            perm = Permutation(tuple(images))
+            perm = generated[pair] = distinct.setdefault(perm, perm)
+        found.append(((a, b), perm))
     found.sort(key=itemgetter(0))
     return HolonomyData(
-        parent=tuple(parent),
+        parent=tuple(-1 if y < 0 else mates[y] // degree for y in into),
         colors=tuple(colors),
         generators=tuple(map(itemgetter(0), found)),
         permutations=tuple(map(itemgetter(1), found)),

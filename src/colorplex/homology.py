@@ -35,43 +35,43 @@ over the integers because the pivots are +-1, and only for the free pairs
 and the unit sweep: the smallest-pivot remainder also uses column
 operations, so its pivots are not cleared.
 
-The two end matrices need no elimination, and one routine serves both:
-``triangulation._signed_forest``, a union-find that grows a spanning forest
-of a graph whose edges flip bits, and reports per tree the bits in which
-some edge disagrees with the others (the balance test of a signed graph).
-The 1-boundary is the incidence matrix of the 1-skeleton: every invariant
-factor is 1, and its rank is the vertex count minus the number of
-components, which is the size of the forest over its rows, flipping no bit
-(over the rows left after clearing, which have the same rank).  When every
-(n-1)-face lies in exactly two simplices, as in a closed pseudomanifold,
-the n-boundary is the signed incidence matrix of the dual graph: its rows
-are the simplices (the nodes) and its columns the facets (the edges), each
-column with two entries +-1.  Per dual component, its invariant factors
-are all 1 (one fewer than the simplices) when the component is orientable,
-and all 1 plus one 2 when it is not (Zaslavsky, "Signed graphs", Discrete
-Appl. Math. 1982).  The facet index of the triangulation has already grown
-that forest, once, over its paired slots in slot order, and kept it
-(``_FacetIndex.tree`` and ``.odd``): across a facet that simplices a and b
-drop at positions i and j, a coherent orientation flips sign exactly when
-i + j is even, which is the forest's bit 2, and an edge inside one
-component that disagrees with the signs found so far makes that component
+The two end matrices need no elimination: each is the incidence matrix of a
+graph, and a spanning forest of that graph gives its factors.  The
+1-boundary is the incidence matrix of the 1-skeleton: every invariant factor
+is 1, and its rank is the vertex count minus the number of components, which
+is the size of a spanning forest over its rows (``_forest_size``, a
+union-find, over the rows left after clearing, which have the same rank).
+When every (n-1)-face lies in exactly two simplices, as in a closed
+pseudomanifold, the n-boundary is the signed incidence matrix of the dual
+graph: its rows are the simplices (the nodes) and its columns the facets
+(the edges), each column with two entries +-1.  Per dual component, its
+invariant factors are all 1 (one fewer than the simplices) when the
+component is orientable, and all 1 plus one 2 when it is not (Zaslavsky,
+"Signed graphs", Discrete Appl. Math. 1982).  The facet index of the
+triangulation has already grown a spanning forest of the dual graph, once,
+in the breadth-first walk that also carries the holonomy's colors, and kept
+it (``_FacetIndex.into`` and ``.odd``): across a facet that simplices a and
+b drop at positions i and j, a coherent orientation flips sign exactly when
+i + j is even, which is the walk's bit 2, and an edge inside one component
+that disagrees with the signs it labelled makes that component
 non-orientable.  So the top matrix's factors are read off the index and
 never built (Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations", JSC 2001, take such structured
-parts out of elimination).
+matrix Smith normal form computations", JSC 2001, take such structured parts
+out of elimination).  Any spanning forest would do; the argument below holds
+for every one.
 
-The facets whose edges merged two components are a dual spanning forest,
-and they are the rows cleared from the (n-1)-boundary.  Take a tree facet e
-and the simplices that its edge cuts off from the root of their tree, each
-signed as the tree orients it.  Their chain's boundary is +-e plus non-tree
-facets only: across every other tree facet inside the subtree the two signs
-cancel, and e is the only tree facet between the subtree and the rest.  As
-the (n-1)-boundary of an n-boundary is zero, the row of e in the
-(n-1)-boundary is an integer combination of non-tree rows.  Subtracting it,
-for every tree facet at once, is a unimodular row operation that turns the
-tree rows into zero rows, so the invariant factors of the (n-1)-boundary
-are those of its non-tree rows: the facets of the index's other pairs of
-slots.  The pairs also count the (n-1)-faces, which are never enumerated.
+The facets of the forest's edges are the rows cleared from the
+(n-1)-boundary.  Take a tree facet e and the simplices that its edge cuts
+off from the root of their tree, each signed as the tree orients it.  Their
+chain's boundary is +-e plus non-tree facets only: across every other tree
+facet inside the subtree the two signs cancel, and e is the only tree facet
+between the subtree and the rest.  As the (n-1)-boundary of an n-boundary is
+zero, the row of e in the (n-1)-boundary is an integer combination of
+non-tree rows.  Subtracting it, for every tree facet at once, is a
+unimodular row operation that turns the tree rows into zero rows, so the
+invariant factors of the (n-1)-boundary are those of its non-tree rows: the
+facets of the index's other pairs of slots.  The pairs also count the
+(n-1)-faces, which are never enumerated.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .triangulation import Triangulation, _faces, _signed_forest, _slot_facet
+from .triangulation import Triangulation, _faces, _gc_paused, _slot_facet
 
 
 def _sparse(
@@ -311,6 +311,28 @@ def _boundary_rows(
     return rows
 
 
+def _forest_size(count: int, edges: Iterable[tuple[int, int]]) -> int:
+    """The number of edges in a spanning forest of the graph on the nodes
+    0..count-1 with ``edges``: count minus the number of components.  A
+    union-find with path halving (Tarjan and van Leeuwen, "Worst-case
+    analysis of set union algorithms", JACM 1984) counts the edges that
+    join two trees."""
+    parent = list(range(count))
+    joined = 0
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[b] = a
+            joined += 1
+    return joined
+
+
+@_gc_paused
 def homology(t: Triangulation) -> HomologyProfile:
     """Homology groups H_0..H_n from the invariant factors of the boundary
     matrices.
@@ -324,13 +346,14 @@ def homology(t: Triangulation) -> HomologyProfile:
     kept its rows and counted them for the Betti numbers.
 
     The ends are in closed form.  When the facet index lists no facet of
-    degree other than 2, the n-boundary's factors are read off its signed
-    forest: one 1 per tree edge, and one 2 per tree unbalanced in the
-    orientation bit.  The tree facets' rows are left out of the
-    (n-1)-boundary: the boundary of the signed simplices below a tree facet
-    e in the forest is +-e plus non-tree facets, so e's row is a combination
-    of the others.  The rows kept are the facets of the other pairs of
-    slots, and the pairs count the (n-1)-faces, which are never enumerated.
+    degree other than 2, the n-boundary's factors are read off its
+    breadth-first forest: one 1 per tree edge, and one 2 per tree
+    unbalanced in the orientation bit.  The tree facets' rows are left out
+    of the (n-1)-boundary: the boundary of the signed simplices below a tree
+    facet e in the forest is +-e plus non-tree facets, so e's row is a
+    combination of the others.  The rows kept are the facets of the other
+    pairs of slots, and the pairs count the (n-1)-faces, which are never
+    enumerated.
     Any other top matrix, and every matrix in the middle, goes through
     ``smith_invariant_factors``.  The 1-boundary's factors are all 1, as
     many as the edges of a spanning forest of the 1-skeleton.
@@ -350,18 +373,22 @@ def homology(t: Triangulation) -> HomologyProfile:
             vertices = _faces(t, 0)
             sizes[0] = len(vertices)
             vertex_ids = {f: i for i, f in enumerate(vertices)}
-            joined, _odd = _signed_forest(
-                len(vertex_ids), ((vertex_ids[(u,)], vertex_ids[(v,)], 0) for u, v in kept)
+            joined = _forest_size(
+                len(vertex_ids), ((vertex_ids[(u,)], vertex_ids[(v,)]) for u, v in kept)
             )
-            factors[1] = [1] * len(joined)
+            factors[1] = [1] * joined
         elif k == n and not t.facet_index.bad_faces:
             index = t.facet_index
-            factors[n] = [1] * len(index.tree) + [2] * sum(1 for bits in index.odd if bits & 2)
+            factors[n] = [1] * (len(t.simplices) - len(index.odd)) + [2] * sum(
+                1 for bits in index.odd if bits & 2
+            )
             # every slot is paired: one facet per pair, the tree's left out
             sizes[n - 1] = len(index.mates) // 2
-            tree = set(index.tree)
+            tree = set(index.into)  # one slot of each tree edge, and -1
             kept = [
-                _slot_facet(t, x) for x, y in enumerate(index.mates) if x < y and x not in tree
+                _slot_facet(t, x)
+                for x, y in enumerate(index.mates)
+                if x < y and x not in tree and y not in tree
             ]
         else:
             lower = _faces(t, k - 1)

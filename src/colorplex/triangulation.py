@@ -9,16 +9,18 @@ and then held by the triangulation as a cached property.  It is the dual
 graph as a gluing table: one flat list of slots, slot a*(n+1)+i for the
 facet that simplex a gets by dropping its vertex at position i, holding the
 slot of the other simplex with that facet, or -1.  It is the package's only
-pairing of facets.  Beside the slots
-the index keeps the facets not shared by exactly two simplices, and one
-signed spanning forest over the paired slots (``_signed_forest``): its
-edges, and per tree the bits in which the tree is unbalanced, from which the
-component count and the verdicts on bipartiteness and orientability are
-read.  Validation, the dual graph, both verdicts, the holonomy, the gem
-encoding and homology's closed-form top matrix read it; the facet table
-that pairs the slots is dropped once they are paired.  The vertex stars
-``Triangulation.stars`` are a cached property of their own, built on first
-use by ``link_loop_permutation``, their only reader.
+pairing of facets.  Beside the slots the index keeps the facets not shared
+by exactly two simplices, and one breadth-first spanning forest of the dual
+graph (``_breadth_first``): the slot through which the walk enters each
+simplex, the order of the visits, and per tree the bits in which the tree is
+unbalanced, from which the component count and the verdicts on
+bipartiteness and orientability are read.  Its first tree is the
+lexicographic one along which the holonomy carries its colors, so one walk
+serves validation, both verdicts, the holonomy and homology's closed-form
+top matrix; the dual graph and the gem encoding read the slots, and the
+facet table that pairs them is dropped once they are paired.  The vertex
+stars ``Triangulation.stars`` are a cached property of their own, built on
+first use by ``link_loop_permutation``, their only reader.
 
 No face lattice is held: ``_faces(t, k)`` lists the k-faces, sorted (a
 face's position is its face id), for a reader to use and drop.  Faces can be
@@ -35,14 +37,19 @@ no caller runs twice on one triangulation.  Nothing is written after it is
 built and every function is pure, so concurrent use on shared inputs is
 safe; two threads that read a property first at the same time may both
 build it, with equal results.
+
+The builders that allocate in bulk (the parser, these cached properties,
+``homology``, barycentric subdivision and the gem report) run with the
+cyclic garbage collector paused (``_gc_paused``): they make no reference
+cycles, so its passes during them would free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, combinations, repeat
 from typing import TYPE_CHECKING
 
@@ -55,6 +62,36 @@ if TYPE_CHECKING:
 # enumerated.  N n-simplices have at most N * (2^(n+1) - 1) faces,
 # exponential in n; the bound is checked before anything is enumerated.
 FACE_BUDGET = 1 << 24
+
+
+def _gc_paused(build):
+    """``build`` run with the cyclic garbage collector paused.
+
+    Sound because the builders it wraps make no reference cycles: none of
+    the tuples, lists, dicts and frozen dataclasses they build refers back
+    to itself, directly or through others, so reference counting frees
+    everything they drop, and a collection during them would scan every
+    young container and free nothing.  It is re-entrant: when the collector is already off, turned
+    off by a caller or by an outer builder, it does nothing, so the caller
+    finds it off again; otherwise it turns the collector off and back on in
+    ``finally``, so an exception also leaves it on.  The switch is
+    process-wide.  When two threads run builders at once, one may turn the
+    collector back on while the other still builds, or find it off and
+    leave it alone; that changes only when collections happen, never a
+    result.
+    """
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -101,23 +138,27 @@ class Triangulation:
         return len(self.simplices)
 
     @cached_property
+    @_gc_paused
     def facet_index(self) -> _FacetIndex:
-        """The dual graph and a signed spanning forest of it (see
+        """The dual graph and a breadth-first spanning forest of it (see
         ``_FacetIndex``)."""
         return _facet_index(self)
 
     @cached_property
+    @_gc_paused
     def stars(self) -> dict[int, list[int]]:
         """Each vertex's star: the ascending ids of the simplices containing
         it."""
         return _stars(self)
 
     @cached_property
+    @_gc_paused
     def census(self) -> FaceCensus:
         """Face counts by dimension, and the degree of every codim-2 face."""
         return _census(self)
 
     @cached_property
+    @_gc_paused
     def holonomy(self) -> HolonomyData:
         """``hol_generators`` over the default spanning tree."""
         from .holonomy import hol_generators  # at call time: holonomy imports this module
@@ -171,6 +212,7 @@ def _check_face_budget(dimension: int, simplex_count: int) -> None:
         )
 
 
+@_gc_paused
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the triangulation file format.
 
@@ -258,7 +300,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class _FacetIndex:
     """The dual graph of a triangulation, from one pass over its facets, and
-    a signed spanning forest of it.
+    a breadth-first spanning forest of it, from one walk.
 
     ``mates`` is the gluing table, one slot per facet of each simplex: slot
     a*(n+1)+i stands for the facet that simplex a gets by dropping its vertex
@@ -269,18 +311,26 @@ class _FacetIndex:
     lists the facets of degree other than 2 with their degrees, in facet
     order.
 
-    ``tree`` lists the forest's edges, each by its smaller slot x (x <
-    mates[x]), ascending; ``odd`` holds per tree, one per component of the
-    dual graph in order of the trees' roots, the bits in which it is
-    unbalanced: bit 1 the side, which every dual edge flips, and bit 2 the
-    orientation.  The component count, ``is_even_cyclic`` and
-    ``orientability`` read ``odd``; homology reads both, for its top
-    boundary matrix and the rows it clears from the next one down.
+    The forest is the one ``_breadth_first`` grows: each tree from the least
+    simplex id not yet reached, a simplex's neighbours taken in ascending id.
+    ``into[b]`` is b's own slot on the tree edge through which the walk
+    reached b, -1 at a root, and ``order`` lists the simplices in the order
+    they were reached, tree after tree, so a simplex's parent always comes
+    before it.  On a connected dual graph this is the lexicographic
+    breadth-first tree from simplex 0 along which ``hol_generators``
+    carries its colors.  A pair of slots is a tree edge exactly when one of
+    them is in ``into``.  ``odd`` holds per tree, in order of the roots, the
+    bits in which it is unbalanced: bit 1 the side, which every dual edge
+    flips, and bit 2 the orientation.  The component count,
+    ``is_even_cyclic`` and ``orientability`` read ``odd``; homology reads
+    ``into`` and ``odd``, for its top boundary matrix and the rows it clears
+    from the next one down.
     """
 
     mates: list[int]
     bad_faces: tuple[tuple[tuple[int, ...], int], ...]
-    tree: list[int]
+    into: list[int]
+    order: list[int]
     odd: list[int]
 
 
@@ -314,67 +364,62 @@ def _facet_index(t: Triangulation) -> _FacetIndex:
                 if facet not in branching:
                     bad.append((facet, 1))
     bad.sort()
-
-    # Bit 1 of a dual edge's flip is the side, which every dual edge flips;
-    # bit 2 is the orientation sign, which flips across a facet dropped at
-    # positions i and j exactly when i + j is even.  Each dual edge is read
-    # once, from its smaller slot (an unpaired slot holds -1).
-    shared = [x for x, y in enumerate(mates) if x < y]
-    joined, odd = _signed_forest(
-        len(t.simplices),
-        (
-            (x // width, mates[x] // width, 1 if (x % width + mates[x] % width) % 2 else 3)
-            for x in shared
-        ),
-    )
-    return _FacetIndex(mates, tuple(bad), [shared[e] for e in joined], odd)
+    return _FacetIndex(mates, tuple(bad), *_breadth_first(mates, width))
 
 
-def _signed_forest(
-    count: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple[list[int], list[int]]:
-    """A spanning forest of a signed graph on the nodes 0..count-1, and the
-    bits in which each of its trees is unbalanced.
+def _breadth_first(
+    mates: list[int], width: int, reverse: bool = False
+) -> tuple[list[int], list[int], list[int]]:
+    """A breadth-first spanning forest of the dual graph on the slot table
+    ``mates`` (``width`` slots per simplex), and the bits in which each of
+    its trees is unbalanced.
 
-    ``edges`` yields (a, b, flip) with flip a bit mask: in each bit, a
-    labelling of the nodes by 0 and 1 should differ across the edge when the
-    bit is set and agree when it is clear.  A union-find with path halving
-    (Tarjan and van Leeuwen, "Worst-case analysis of set union algorithms",
-    JACM 1984) keeps each node's labels relative to its parent in
-    ``parity``.  An edge inside one tree that disagrees with the labels in
-    some bits makes that tree unbalanced in them (Zaslavsky, "Signed
-    graphs", Discrete Appl. Math. 1982): no labelling of the component obeys
-    all its edges there.  Returns the positions in ``edges`` of the edges
-    that joined two trees, ascending, and per tree, in order of the trees'
-    roots, its unbalanced bits.
+    Each tree grows from the least simplex id not yet reached.  A simplex's
+    neighbours are its paired slots' values, sorted: ascending slots are
+    ascending simplex ids, because two simplices share at most one facet
+    (descending with ``reverse``); the slots that hold -1 are skipped.  The
+    walk labels each simplex it reaches with two bits, relative to its
+    root: bit 1, the side, flips across every dual edge, and bit 2, the
+    orientation sign, flips across a facet dropped at positions i and j
+    exactly when i + j is even.  A dual edge between two labelled simplices
+    that disagrees with their labels in some bits makes their tree
+    unbalanced in them: no labelling of the component obeys all its edges
+    there (Zaslavsky, "Signed graphs", Discrete Appl. Math. 1982).
+
+    Returns ``into``, ``order`` and ``odd`` as ``_FacetIndex`` holds them.
     """
-    parent = list(range(count))
-    parity = [0] * count
-    odd = [0] * count  # per root: the bits in which its tree is unbalanced
-    tree = []
-    for position, (a, b, flip) in enumerate(edges):
-        # walk both ends to their roots, halving the paths, and fold the
-        # labels met on the way into flip
-        while parent[a] != a:
-            up = parent[a]
-            parity[a] ^= parity[up]
-            flip ^= parity[a]
-            parent[a] = parent[up]
-            a = parent[up]
-        while parent[b] != b:
-            up = parent[b]
-            parity[b] ^= parity[up]
-            flip ^= parity[b]
-            parent[b] = parent[up]
-            b = parent[up]
-        if a == b:
-            odd[a] |= flip
-        else:
-            parent[b] = a
-            parity[b] = flip
-            odd[a] |= odd[b]
-            tree.append(position)
-    return tree, [odd[x] for x in range(count) if parent[x] == x]
+    count = len(mates) // width
+    into = [-1] * count
+    label = [-1] * count
+    order: list[int] = []
+    odd: list[int] = []
+    for root in range(count):
+        if label[root] >= 0:
+            continue
+        label[root] = 0
+        queue = [root]
+        bits = 0
+        for a in queue:  # the list grows as the walk appends to it
+            base = a * width
+            here = label[a]
+            row = mates[base : base + width]
+            row.sort(reverse=reverse)
+            for y in row:
+                if y < 0:
+                    continue
+                b = y // width
+                # a drops position mates[y] - base, b position y - b * width
+                there = here ^ (1 if (mates[y] - base + y - b * width) & 1 else 3)
+                seen = label[b]
+                if seen < 0:
+                    label[b] = there
+                    into[b] = y
+                    queue.append(b)
+                else:
+                    bits |= seen ^ there
+        order += queue
+        odd.append(bits)
+    return into, order, odd
 
 
 def validate(t: Triangulation) -> ValidationReport:
@@ -502,17 +547,17 @@ def dual_graph(t: Triangulation) -> DualGraph:
 
 def is_even_cyclic(t: Triangulation) -> bool:
     """True iff every closed walk on the dual 1-skeleton has even length,
-    i.e. the dual graph is bipartite: the signed forest of the facet index
-    flips a simplex's side across every dual edge and finds no edge within a
-    side."""
+    i.e. the dual graph is bipartite: the breadth-first forest of the facet
+    index flips a simplex's side across every dual edge and finds no edge
+    within a side."""
     return not any(bits & 1 for bits in t.facet_index.odd)
 
 
 def orientability(t: Triangulation) -> bool:
     """Decide whether a coherent orientation of the top simplices exists.
 
-    The signed forest of the facet index carries a sign per simplex over a
-    dual spanning forest; the complex is orientable iff every non-tree
+    The breadth-first forest of the facet index carries a sign per simplex
+    over a dual spanning forest; the complex is orientable iff every non-tree
     dual edge is consistent.  The induced boundary orientation of the facet
     obtained by dropping the vertex at sorted position i carries sign (-1)^i,
     and coherence requires the two induced orientations of a shared facet to

@@ -97,6 +97,38 @@ def test_circle_layers_reject_what_no_file_can_say(circumference, layers, messag
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("circle 2\nC=4\nlayer: 2 1\nlist: 0\n", "layer 1 positions must be strictly increasing", 3),
+        ("circle 2\nC=4\nlayer: 1\nlayer: 0 x\n", "layer 1 has 1 points; need >= 2", 3),
+        ("circle 2\nC=4\nlayer: 1\nlayer: 0 5\n", "layer 1 has 1 points; need >= 2", 3),
+        ("circle 2\nC=4\nlayer: 0 2\nlayer: 0 x\n", "malformed rational 'x'", 4),
+        ("circle 2\nC=4\nlayer: 0 2\nlayer: 0 5\n", "position 5 outside [0, 4)", 4),
+        ("circle 3\nC=4\nlayer: 0 2\nlayer: 0 3\nlayer: 1\n", "layer 3 has 1 points; need >= 2", 5),
+    ],
+    ids=["fault-before-bad-line", "fault-before-bad-number", "first-of-two-faults", "bad-number",
+         "fault-not-duplicate", "later-fault-before-duplicate"],
+)
+def test_parse_reports_the_first_fault_in_line_order(text, message, line):
+    """A layer's own fault is reported before anything a later line gets
+    wrong, and before a position two layers share, as when each layer was
+    checked as soon as its line was read."""
+    with pytest.raises(FormatError) as err:
+        parse_circle_layers(text)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+def test_parse_checks_each_layer_once(monkeypatch):
+    calls = []
+    check = circles._layer_fault
+    monkeypatch.setattr(circles, "_layer_fault", lambda *args: calls.append(args[0]) or check(*args))
+    for cl in (INTERLEAVED, NESTED, _single(5), random_circle_layers(random.Random(4), 4)):
+        calls.clear()
+        assert parse_circle_layers(_layers_text(cl)) == cl
+        assert calls == list(range(1, cl.j + 1))
+
+
 def test_parse_malformed_number():
     with pytest.raises(FormatError) as err:
         parse_circle_layers("circle 1\nC=4\nlayer: 0 x\n")

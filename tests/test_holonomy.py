@@ -39,6 +39,7 @@ from colorplex.errors import BudgetError
 from colorplex.holonomy import DefectGraphs
 from colorplex.perms import subgroup_closure
 from colorplex.triangulation import Triangulation
+from dual_forest import stellar_moves
 
 
 def _sid(t, verts):
@@ -562,14 +563,63 @@ OPEN_DISK = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
 BRANCHED_DISK = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 5), (2, 4, 5), (3, 4, 5)]
 
 
+def _closed_tree_inputs():
+    rng = random.Random(11)
+    bases = [torus7(), rp2_6(), cross_polytope_boundary(2), cross_polytope_boundary(3)]
+    return _examples_and_subdivisions() + [stellar_moves(b, rng, rng.randint(1, 4)) for b in bases]
+
+
 @pytest.mark.parametrize("reverse_neighbors", [False, True])
 def test_hol_generators_match_propagate(reverse_neighbors):
     not_closed = [Triangulation.from_simplices(2, s) for s in (OPEN_DISK, BRANCHED_DISK)]
     assert [(validate(t).closed, validate(t).connected) for t in not_closed] == [(False, True)] * 2
-    for t in _examples_and_subdivisions() + not_closed:
+    for t in _closed_tree_inputs() + not_closed:
         hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
         got = (hol.parent, hol.colors, hol.generators, hol.permutations)
         assert got == _propagated_holonomy(t, reverse_neighbors)
+
+
+def test_holonomy_tree_is_the_facet_index_tree():
+    """The default tree is the index's: the parents read off ``into``, each
+    before its children in ``order``, which starts at simplex 0 and lists
+    every simplex once."""
+    not_closed = [Triangulation.from_simplices(2, s) for s in (OPEN_DISK, BRANCHED_DISK)]
+    for t in _closed_tree_inputs() + not_closed:
+        index = t.facet_index
+        width = t.dimension + 1
+        parents = tuple(-1 if y < 0 else index.mates[y] // width for y in index.into)
+        assert hol_generators(t).parent == parents
+        assert index.order[0] == 0 and sorted(index.order) == list(range(len(t.simplices)))
+        assert all(y // width == b for b, y in enumerate(index.into) if y >= 0)
+        position = {b: k for k, b in enumerate(index.order)}
+        assert all(position[a] < position[b] for b, a in enumerate(parents) if a >= 0)
+
+
+def test_one_walk_serves_validation_and_holonomy(monkeypatch):
+    """``validate``, ``is_colorable`` and ``holonomy_invariants`` on one
+    triangulation walk its dual graph once, when the facet index is built;
+    the reverse tree is one more walk by the same routine."""
+    tri = importlib.import_module("colorplex.triangulation")
+    module = importlib.import_module("colorplex.holonomy")
+    walks = []
+    walk = tri._breadth_first
+
+    def counting(mates, width, reverse=False):
+        walks.append((id(mates), reverse))
+        return walk(mates, width, reverse)
+
+    monkeypatch.setattr(tri, "_breadth_first", counting)
+    monkeypatch.setattr(module, "_breadth_first", counting)
+    inputs = _closed_tree_inputs()
+    for t in inputs:
+        validate(t)
+        is_colorable(t)
+        holonomy_invariants(t)
+    assert walks == [(id(t.facet_index.mates), False) for t in inputs]
+    walks.clear()
+    for t in inputs:
+        hol_generators(t, reverse_neighbors=True)
+    assert walks == [(id(t.facet_index.mates), True) for t in inputs]
 
 
 def _holding(t, hol):
@@ -586,7 +636,7 @@ def test_invariants_over_distinct_generators_match_full_closure():
     generator: the readers' dedupe by identity is only a speed-up."""
     rng = random.Random(9)
     bases = [torus7(), rp2_6(), cross_polytope_boundary(2), cross_polytope_boundary(3)]
-    obstructed = [_stellar_moves(b, rng, rng.randint(1, 4)) for b in bases for _ in range(3)]
+    obstructed = [stellar_moves(b, rng, rng.randint(1, 4)) for b in bases for _ in range(3)]
     seen = set()
     for t in _examples_and_subdivisions() + obstructed:
         degree = t.dimension + 1
@@ -611,24 +661,10 @@ def test_invariants_over_distinct_generators_match_full_closure():
     assert seen == {False, True}
 
 
-def _stellar_moves(t, rng, moves):
-    """``moves`` stellar subdivisions of seeded top simplices: each replaces
-    a simplex by the cone from a new vertex over its boundary, which makes
-    the faces of that simplex odd-degree."""
-    for _ in range(moves):
-        s = t.simplices[rng.randrange(len(t.simplices))]
-        apex = max(t.vertices) + 1
-        cone = [s[:i] + (apex,) + s[i + 1 :] for i in range(len(s))]
-        t = Triangulation.from_simplices(
-            t.dimension, [x for x in t.simplices if x != s] + cone
-        )
-    return t
-
-
 def test_holonomy_image_does_not_depend_on_the_tree():
     rng = random.Random(3)
     bases = [torus7(), rp2_6(), cross_polytope_boundary(2), cross_polytope_boundary(3)]
-    inputs = [_stellar_moves(b, rng, rng.randint(2, 5)) for b in bases for _ in range(10)]
+    inputs = [stellar_moves(b, rng, rng.randint(2, 5)) for b in bases for _ in range(10)]
     types_differ = 0
     for t in inputs:
         degree = t.dimension + 1
@@ -645,7 +681,7 @@ def test_holonomy_image_does_not_depend_on_the_tree():
 def test_hol_generators_intern_labelings_and_permutations():
     rng = random.Random(5)
     bases = [torus7(), cross_polytope_boundary(3), simplex_boundary(4)]
-    for t in bases + [_stellar_moves(b, rng, 2) for b in bases]:
+    for t in bases + [stellar_moves(b, rng, 2) for b in bases]:
         hol = hol_generators(t)
         assert len({id(c) for c in hol.colors}) <= math.factorial(t.dimension + 1)
         assert len({id(p) for p in hol.permutations}) == len(set(hol.permutations))

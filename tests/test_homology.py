@@ -24,11 +24,13 @@ from colorplex.builders import circle, cross_polytope_boundary
 from colorplex.homology import (
     HomologyProfile,
     _boundary_rows,
+    _forest_size,
     _normalise_divisibility,
     _smallest_pivot_diagonal,
     _sparse,
 )
-from colorplex.triangulation import Triangulation, _signed_forest
+from colorplex.triangulation import Triangulation
+from dual_forest import tree_slots
 from face_sets import set_faces
 
 
@@ -575,11 +577,12 @@ def test_facet_index_forest_gives_top_factors_and_cleared_rows(t):
     matrix down keeps its factors."""
     n = t.dimension
     index = t.facet_index
-    factors = [1] * len(index.tree) + [2] * sum(1 for bits in index.odd if bits & 2)
+    tree = tree_slots(t)
+    factors = [1] * len(tree) + [2] * sum(1 for bits in index.odd if bits & 2)
     assert factors == smith_invariant_factors(_boundary_rows(t.simplices, _facet_ids(t)))
-    assert all(x < index.mates[x] for x in index.tree)
-    tree_facets = {_slot_facet(t, x) for x in index.tree}
-    assert len(tree_facets) == len(index.tree) == len(t.simplices) - validate(t).components
+    assert all(x < index.mates[x] for x in tree)
+    tree_facets = {_slot_facet(t, x) for x in tree}
+    assert len(tree_facets) == len(tree) == len(t.simplices) - validate(t).components
     if n >= 2:
         ridge_ids = {f: i for i, f in enumerate(set_faces(t, n - 2))}
         facets = set_faces(t, n - 1)
@@ -621,15 +624,14 @@ def test_closed_homology_never_enumerates_the_facets(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the signed forest shared by the facet index and the 1-boundary
+# the spanning forest of the 1-boundary
 
 
 @st.composite
-def _signed_multigraphs(draw):
-    """Component sizes and signed edges (a, b, flip), flips 0-3, in random
-    order.  Each component is a block of consecutive node ids, connected by
-    a random spanning tree, with extra edges that may be parallel or loops;
-    so the trees' roots, one per block, come in block order."""
+def _multigraphs(draw):
+    """Component sizes and edges (a, b) in random order.  Each component is
+    a block of consecutive node ids, connected by a random spanning tree,
+    with extra edges that may be parallel or loops."""
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
     pairs = []
     start = 0
@@ -638,55 +640,11 @@ def _signed_multigraphs(draw):
         pairs += [(nodes[k], nodes[draw(st.integers(0, k - 1))]) for k in range(1, size)]
         pairs += draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=10))
         start += size
-    flips = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
-    order = draw(st.permutations(range(len(pairs))))
-    return sizes, [(*pairs[k], flips[k]) for k in order]
-
-
-def _reached(start, adjacency):
-    """The nodes reached from ``start``, in breadth-first order."""
-    seen = {start}
-    queue = [start]
-    for a in queue:
-        for b, _flip in adjacency[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return queue
+    return sizes, draw(st.permutations(pairs))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_signed_multigraphs())
-def test_signed_forest_spans_each_component_and_finds_its_unbalanced_bits(graph):
-    """The forest has one edge fewer than the nodes per component and spans
-    each; a component is unbalanced in a bit exactly when a breadth-first
-    labelling, flipping that bit across the edges that carry it, meets an
-    edge that disagrees."""
+@given(_multigraphs())
+def test_forest_size_is_the_nodes_less_the_components(graph):
     sizes, edges = graph
-    count = sum(sizes)
-    tree, odd = _signed_forest(count, edges)
-    assert tree == sorted(set(tree))
-    assert len(tree) == count - len(sizes)
-    assert len(odd) == len(sizes)
-    adjacency = [[] for _ in range(count)]
-    forest = [[] for _ in range(count)]
-    for position, (a, b, flip) in enumerate(edges):
-        adjacency[a].append((b, flip))
-        adjacency[b].append((a, flip))
-        if position in tree:
-            forest[a].append((b, flip))
-            forest[b].append((a, flip))
-    start = 0
-    for bits, size in zip(odd, sizes):
-        block = set(range(start, start + size))
-        assert set(_reached(start, forest)) == block
-        label = {start: 0}
-        for a in _reached(start, adjacency):
-            for b, flip in adjacency[a]:
-                label.setdefault(b, label[a] ^ flip)
-        conflict = 0
-        for a in block:
-            for b, flip in adjacency[a]:
-                conflict |= label[a] ^ label[b] ^ flip
-        assert bits == conflict
-        start += size
+    assert _forest_size(sum(sizes), edges) == sum(sizes) - len(sizes)

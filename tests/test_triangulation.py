@@ -1,11 +1,14 @@
 import gc
 import itertools
+import random
 import sys
 import weakref
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorplex import (
     BudgetError,
@@ -17,7 +20,9 @@ from colorplex import (
     euler_characteristic,
     face_census,
     gem_from_coloring,
+    gem_report,
     hol_generators,
+    holonomy_invariants,
     homology,
     is_colorable,
     is_even_cyclic,
@@ -33,8 +38,9 @@ from colorplex import (
 )
 from colorplex.builders import circle, cross_polytope_boundary
 from colorplex.homology import _boundary_rows, smith_invariant_factors
-from colorplex.oracles import SUITE_NAMES, run_suite, seeded_refinements
+from colorplex.oracles import SUITE_NAMES, random_gem, run_suite, seeded_refinements
 from colorplex import triangulation as tri
+from dual_forest import signed_union_find, stellar_moves, tree_slots
 from face_sets import set_faces
 
 TETRA_TEXT = """\
@@ -199,6 +205,83 @@ def test_facet_index_bad_faces_match_a_facet_count():
         )
         expected = tuple(sorted((f, d) for f, d in degrees.items() if d != 2))
         assert t.facet_index.bad_faces == validate(t).bad_faces == expected
+
+
+_FOREST_BASES = {
+    1: [circle(5), circle(6)],
+    2: [simplex_boundary(2), cross_polytope_boundary(2), torus7(), rp2_6()],
+    3: [simplex_boundary(3), cross_polytope_boundary(3)],
+}
+for _bases in _FOREST_BASES.values():
+    _bases += [barycentric_subdivide(b)[0] for b in _bases]
+
+
+@st.composite
+def _forest_inputs(draw):
+    """Disjoint unions of 1 to 3 builder outputs or their subdivisions, each
+    after 0-3 seeded stellar moves, with 0-2 simplices dropped (boundary
+    facets) and 0-2 cones added on a facet (branching facets), and its
+    vertex ids shuffled, which reorders its simplices."""
+    n = draw(st.sampled_from(sorted(_FOREST_BASES)))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    simplices = []
+    offset = 0
+    for base in draw(st.lists(st.sampled_from(_FOREST_BASES[n]), min_size=1, max_size=3)):
+        part = list(stellar_moves(base, rng, draw(st.integers(0, 3))).simplices)
+        for _ in range(draw(st.integers(0, 2))):
+            if len(part) > 1:
+                part.pop(rng.randrange(len(part)))
+        for _ in range(draw(st.integers(0, 2))):
+            s = rng.choice(part)
+            i = rng.randrange(n + 1)
+            part.append(s[:i] + s[i + 1 :] + (max(map(max, part)) + 1,))
+        ids = sorted(set(itertools.chain.from_iterable(part)))
+        relabel = dict(zip(ids, rng.sample(range(offset, offset + len(ids)), len(ids))))
+        simplices += [tuple(map(relabel.__getitem__, s)) for s in part]
+        offset += len(ids)
+    return Triangulation.from_simplices(n, simplices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forest_inputs())
+def test_facet_index_forest_matches_a_signed_union_find(t):
+    """The index's breadth-first forest against a union-find over the same
+    paired slots (tests/dual_forest.py): the same components, each with the
+    same unbalanced bits, trees rooted at their least simplex, N - c tree
+    edges, each named by its smaller slot and joining two trees of a fresh
+    union-find, and the bad facets of a facet count."""
+    index = t.facet_index
+    expected = signed_union_find(t)
+    trees = []
+    for b in index.order:  # the walk's trees, split at their roots
+        if index.into[b] < 0:
+            trees.append(set())
+        trees[-1].add(b)
+    assert sorted(index.odd) == sorted(bits for _nodes, bits in expected.values())
+    by_least = {min(nodes): (nodes, bits) for nodes, bits in expected.values()}
+    assert [by_least[min(nodes)] for nodes in trees] == list(zip(trees, index.odd))
+    assert [min(nodes) for nodes in trees] == sorted(by_least)
+    tree = tree_slots(t)
+    assert len(tree) == len(t.simplices) - len(expected)
+    assert tree == sorted(set(tree)) and all(x < index.mates[x] for x in tree)
+    width = t.dimension + 1
+    root = list(range(len(t.simplices)))
+    for x in tree:
+        a, b = x // width, index.mates[x] // width
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        assert a != b
+        root[b] = a
+    degrees = Counter(s[:i] + s[i + 1 :] for s in t.simplices for i in range(width))
+    report = validate(t)
+    assert index.bad_faces == report.bad_faces
+    assert report.bad_faces == tuple(sorted((f, d) for f, d in degrees.items() if d != 2))
+    assert report.closed == all(d == 2 for d in degrees.values())
+    assert report.components == len(expected)
+    assert is_even_cyclic(t) == (not any(bits & 1 for _nodes, bits in expected.values()))
+    assert orientability(t) == (not any(bits & 2 for _nodes, bits in expected.values()))
 
 
 def test_validate_sphere_passes():
@@ -610,3 +693,117 @@ def test_face_lattice_over_budget_is_refused_before_it_is_built(monkeypatch):
         with pytest.raises(BudgetError, match="face budget"):
             read(t)
     assert builds == []
+
+
+# ---------------------------------------------------------------------------
+# the bulk builders pause the cyclic garbage collector
+
+
+@pytest.fixture
+def collector():
+    """Put the collector back as the test found it, whatever the test did."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _spy_collector(monkeypatch, module, name, states):
+    """Record whether the collector is on at every call to ``module.name``."""
+    original = getattr(module, name)
+
+    def spying(*args, **kwargs):
+        states.append((name, gc.isenabled()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spying)
+
+
+def test_bulk_builders_run_with_the_collector_paused(monkeypatch, collector):
+    """A spy on a function each builder calls sees the collector off."""
+    states = []
+    for module, name in [
+        ("triangulation", "_facet_index"), ("triangulation", "_census"),
+        ("triangulation", "_stars"), ("holonomy", "hol_generators"), ("homology", "_faces"),
+        ("builders", "_faces"), ("gems", "bicolored_cycles"),
+    ]:
+        # the package re-exports ``homology`` under its module's name
+        _spy_collector(monkeypatch, sys.modules[f"colorplex.{module}"], name, states)
+    gc.enable()
+    t = cross_polytope_boundary(3)
+    face_census(t)
+    link_loop_permutation(t, t.census.codim2_degrees[0][0])
+    subdivided, coloring = barycentric_subdivide(t)
+    homology(subdivided)
+    is_colorable(subdivided)
+    gem_report(gem_from_coloring(subdivided, coloring))
+    assert {name for name, _enabled in states} == {
+        "_facet_index", "_census", "_stars", "hol_generators", "_faces", "bicolored_cycles"
+    }
+    assert not any(enabled for _name, enabled in states)
+    assert gc.isenabled()
+
+
+def test_a_paused_builder_restores_the_collector_after_an_exception(collector):
+    gc.enable()
+    with pytest.raises(FormatError):
+        parse_triangulation("dim 2\n1 2\n")
+    assert gc.isenabled()
+    states = []
+
+    @tri._gc_paused
+    def failing():
+        states.append(gc.isenabled())
+        tri._gc_paused(lambda: states.append(gc.isenabled()))()  # nested: leaves it off
+        states.append(gc.isenabled())
+        raise RuntimeError("inside the builder")
+
+    with pytest.raises(RuntimeError, match="inside the builder"):
+        failing()
+    assert states == [False, False, False]
+    assert gc.isenabled()
+
+
+def test_a_collector_turned_off_by_the_caller_stays_off(collector):
+    gc.disable()
+    t = parse_triangulation(TETRA_TEXT)
+    validate(t)
+    face_census(t)
+    is_colorable(t)
+    homology(t)
+    subdivided, coloring = barycentric_subdivide(cross_polytope_boundary(3))
+    gem_report(gem_from_coloring(subdivided, coloring))
+    with pytest.raises(FormatError):
+        parse_triangulation("dim 2\n1 2\n")
+    assert not gc.isenabled()
+
+
+def test_bulk_builders_make_no_cyclic_garbage(collector):
+    """Why the pause is sound: with the collector off, a collection after the
+    forced-coloring pipeline, homology or the gem report frees nothing, so
+    every object they dropped was freed by reference counting."""
+    cell = barycentric_subdivide(cross_polytope_boundary(3))[0]
+    torus = barycentric_subdivide(torus7())[0]
+    obstructed = stellar_moves(cell, random.Random(2), 1)
+    texts = [triangulation_to_text(t) for t in (cell, torus, obstructed)]
+    gc.collect()
+    gc.disable()
+    for text in texts:
+        t = parse_triangulation(text)
+        validate(t)
+        census = face_census(t)
+        orientability(t)
+        is_colorable(t)
+        holonomy_invariants(t)
+        for face, _degree in census.codim2_degrees[:8]:
+            link_loop_permutation(t, face)
+        if t.dimension == 3:
+            defect_graphs(t)
+    triangulation_to_text(barycentric_subdivide(cell)[0])
+    assert gc.collect() == 0
+    homology(parse_triangulation(texts[0]))
+    homology(torus)
+    assert gc.collect() == 0
+    subdivided, coloring = barycentric_subdivide(cross_polytope_boundary(3))
+    gem_report(gem_from_coloring(subdivided, coloring))
+    gem_report(random_gem(random.Random(3), 400))
+    assert gc.collect() == 0
