@@ -6,13 +6,17 @@ no modular shortcuts, so torsion coefficients are exact.  Free pairs go
 first (coreductions: Mrozek and Batko, "Coreduction homology algorithm",
 DCG 2009): a row with a +-1 in a column that holds no other entry is a unit
 factor, and column operations clear the rest of its row without touching
-any other, so the matrix is 1 (+) the other rows, which are never copied.
-Sweeps over the rows left repeat this with the column counts kept in step.
-Boundary matrices are mostly +-1, so sparse sweeps over whatever rows remain
-then eliminate unit pivots: each row is pivoted on its +-1 entry in the
-column with the fewest rows.  The small remainder without unit entries is
-reduced in the same sparse rows, always pivoting on an entry of least
-absolute value, which keeps the intermediate coefficients small.
+any other, so the matrix is 1 (+) the other rows.  Every entry of a
+simplicial boundary row is +-1, its sign fixed by the position of the
+vertex its facet drops, so the pairs need only the support of each row:
+each row is built as the tuple of its column ids (``_boundary_rows``), and
+sweeps over those tuples pair rows with the column counts kept in step
+(``_free_pairs``).  Only the rows the sweeps leave are built as signed
+sparse rows (``_signed_rows``) for :func:`smith_invariant_factors`.  Its
+sparse sweeps then eliminate unit pivots: each row is pivoted on its +-1
+entry in the column with the fewest rows.  The small remainder without unit
+entries is reduced in the same sparse rows, always pivoting on an entry of
+least absolute value, which keeps the intermediate coefficients small.
 
 The boundary matrices are reduced top down, from the top dimension n to 1,
 and the unit pivots of each one clear rows from the next ("clearing", or the
@@ -78,7 +82,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from .triangulation import Triangulation, _faces, _gc_paused, _slot_facet
@@ -181,61 +185,25 @@ def smith_invariant_factors(
 ) -> list[int]:
     """Invariant factors of a sparse integer matrix (rows of {col: value}).
 
-    Free pairs go first, before any row is copied.  Each column's nonzero
-    entries are counted, and sweeps over the rows pair a row with a column
-    that holds a +-1 of that row and no other entry; the pair is a unit
-    factor, and the counts of the row's other columns drop by one.  The
-    sweeps repeat while the previous one paired something.  The pair's
-    column holds no other row, so column operations clear the rest of its
-    row and leave 1 (+) the other rows, untouched: the pivot makes no fill.
+    The rows are copied into sparse rows, and unit pivots are eliminated in
+    sweeps over them: each row with a +-1 entry is pivoted on the one whose
+    column currently has the fewest rows, which clears that column from the
+    other rows, and the sweep is repeated while the previous one eliminated
+    something.  Choosing the pivot costs O(row length), not a scan of the
+    whole matrix, and a free pair (a +-1 alone in its column) is taken as it
+    comes, with nothing to clear.  Whatever remains (no unit entries) is
+    reduced in the same sparse rows by :func:`_smallest_pivot_diagonal`.
+    The input rows are not modified.
 
-    Only the rows left are copied into sparse rows.  Unit pivots are then
-    eliminated in sweeps over them: each row with a +-1 entry is pivoted on
-    the one whose column currently has the fewest rows, which clears that
-    column from the other rows, and the sweep is repeated while the previous
-    one eliminated something.  Choosing the pivot costs O(row length), not a
-    scan of the whole matrix.  Whatever remains (no unit entries) is reduced
-    in the same sparse rows by :func:`_smallest_pivot_diagonal`.  The input
-    rows are not modified.
-
-    ``pivots`` is an output: when a list is passed, the column of each free
-    pair and then of each pivot of the unit sweep is appended to it, in
-    pivot order (the remainder's pivots are not).  :func:`homology` clears
+    ``pivots`` is an output: when a list is passed, the column of each pivot
+    of the unit sweep is appended to it, in pivot order (the remainder's
+    pivots are not).  :func:`homology` first appends the columns of the free
+    pairs that :func:`_free_pairs` took off the same matrix, then clears all
     those columns' faces from the next boundary matrix down; the factors do
-    not depend on it.  A paired row is a row of the matrix with 0 in every
-    earlier pair's column, which held one row only, so it clears as the unit
-    sweep's pivot rows do (see the module docstring).
+    not depend on it.
     """
-    counts: dict[int, int] = {}
-    for row in rows:
-        for c, v in row.items():
-            if v:
-                counts[c] = counts.get(c, 0) + 1
-
+    row_data, col_index = _sparse(rows)
     ones = 0
-    left = rows
-    paired = True
-    while paired:
-        paired = False
-        rest = []
-        for row in left:
-            for pc, v in row.items():
-                if (v == 1 or v == -1) and counts[pc] == 1:
-                    break
-            else:
-                rest.append(row)
-                continue
-            for c, v in row.items():
-                if v:
-                    counts[c] -= 1
-            if pivots is not None:
-                pivots.append(pc)
-            ones += 1
-            paired = True
-        left = rest
-
-    row_data, col_index = _sparse(left)
-
     eliminated = True
     while eliminated:
         eliminated = False
@@ -293,22 +261,66 @@ class HomologyProfile:
 
 def _boundary_rows(
     k_faces: Iterable[tuple[int, ...]], lower_index: dict[tuple[int, ...], int]
-) -> list[dict[int, int]]:
-    """The rows of a boundary matrix: per k-face, {id of its facet: sign}.
+) -> list[tuple[int, ...]]:
+    """The supports of the rows of a boundary matrix: per k-face, the ids of
+    its facets, dropping the vertex at positions k, k-1, ..., 0 in turn, as
+    ``combinations(face, k)`` yields them.  :func:`_signed_rows` adds the
+    signs, which the positions fix."""
+    return [
+        tuple(map(lower_index.__getitem__, combinations(face, len(face) - 1))) for face in k_faces
+    ]
 
-    The facet that drops the vertex at position i has sign (-1)^i.
-    ``combinations(face, k)`` yields the facets dropping the last vertex
-    first, positions k, k-1, ..., 0, so each row is built in that order,
-    zipped with the signs (-1)^k, ..., -1, 1.
-    """
-    rows = []
+
+def _signed_rows(rows: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
+    """Boundary rows as {id of a facet: sign}: the facet that drops the
+    vertex at position i has sign (-1)^i, so a row of k+1 ids is zipped with
+    the signs (-1)^k, ..., -1, 1."""
+    signed = []
     signs: list[int] = []
-    for face in k_faces:
-        k = len(face) - 1
-        if len(signs) != k + 1:
-            signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
-        rows.append(dict(zip(map(lower_index.__getitem__, combinations(face, k)), signs)))
-    return rows
+    for row in rows:
+        if len(signs) != len(row):
+            signs = [-1 if i % 2 else 1 for i in range(len(row) - 1, -1, -1)]
+        signed.append(dict(zip(row, signs)))
+    return signed
+
+
+def _free_pairs(
+    rows: list[tuple[int, ...]], width: int, pivots: list[int]
+) -> list[tuple[int, ...]]:
+    """Take the free pairs off a boundary matrix, given by the supports of
+    its rows over the columns 0..width-1, and return the rows left.
+
+    The rows holding each column are counted, and sweeps over the rows pair
+    a row with a column that holds it and no other row.  Every entry of a
+    boundary row is +-1, so the pair is a unit factor; its column holds no
+    other row, so column operations clear the rest of its row and leave
+    1 (+) the other rows, untouched, and the counts of the row's other
+    columns drop by one.  The sweeps repeat while the previous one paired
+    something.  Each pair's column is appended to ``pivots``, in pairing
+    order; ``rows`` is not modified.  A paired row is a row of the matrix
+    with 0 in every earlier pair's column, which held one row only, so
+    :func:`homology` clears its face as it clears the faces of the unit
+    sweep's pivot rows (see the module docstring).
+    """
+    counts = [0] * width
+    for c in chain.from_iterable(rows):
+        counts[c] += 1
+    left = rows
+    while True:
+        rest = []
+        for row in left:
+            for pc in row:
+                if counts[pc] == 1:
+                    break
+            else:
+                rest.append(row)
+                continue
+            for c in row:
+                counts[c] -= 1
+            pivots.append(pc)
+        if len(rest) == len(left):
+            return rest
+        left = rest
 
 
 def _forest_size(count: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -354,9 +366,13 @@ def homology(t: Triangulation) -> HomologyProfile:
     combination of the others.  The rows kept are the facets of the other
     pairs of slots, and the pairs count the (n-1)-faces, which are never
     enumerated.
-    Any other top matrix, and every matrix in the middle, goes through
-    ``smith_invariant_factors``.  The 1-boundary's factors are all 1, as
-    many as the edges of a spanning forest of the 1-skeleton.
+    Any other top matrix, and every matrix in the middle, is built as
+    tuples of column ids, one per kept face, and ``_free_pairs`` takes its
+    free pairs on them; the rows it leaves, often none, are signed and go
+    through ``smith_invariant_factors``, one call per matrix.  The pairs'
+    columns come first among the cleared faces, then the unit sweep's.  The
+    1-boundary's factors are all 1, as many as the edges of a spanning
+    forest of the 1-skeleton.
 
     Invariant: b_k = len(faces_k) - rank_k - rank_{k+1}, and the ranks cancel
     in the alternating sum, so that sum is the Euler characteristic whatever
@@ -394,9 +410,11 @@ def homology(t: Triangulation) -> HomologyProfile:
             lower = _faces(t, k - 1)
             sizes[k - 1] = len(lower)
             pivots: list[int] = []
-            factors[k] = smith_invariant_factors(
-                _boundary_rows(kept, {f: i for i, f in enumerate(lower)}), pivots
+            left = _free_pairs(
+                _boundary_rows(kept, {f: i for i, f in enumerate(lower)}), len(lower), pivots
             )
+            ones = [1] * len(pivots)
+            factors[k] = ones + smith_invariant_factors(_signed_rows(left), pivots)
             cleared = set(pivots)
             kept = [f for i, f in enumerate(lower) if i not in cleared]
             del lower  # dropped before the next dimension is enumerated

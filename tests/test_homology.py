@@ -25,8 +25,10 @@ from colorplex.homology import (
     HomologyProfile,
     _boundary_rows,
     _forest_size,
+    _free_pairs,
     _normalise_divisibility,
     _smallest_pivot_diagonal,
+    _signed_rows,
     _sparse,
 )
 from colorplex.triangulation import Triangulation
@@ -171,9 +173,9 @@ def test_snf_dense_remainder_after_unit_elimination(monkeypatch):
     assert remainders == [{2: {2: 2, 3: 4}, 3: {2: 6, 3: 8}}]
 
 
-# row 1 pairs with column 0, then row 0 with column 1; if the zero in row 0
-# counted, no column would hold one entry, and the unit sweep would pivot
-# row 0 first, in column 1
+# the unit sweep pivots row 0 in column 1, which clears row 1 down to
+# column 0, its pivot; the explicit zero in row 0 must change neither the
+# factors nor the pivots
 @settings(max_examples=200, deadline=None)
 @given(_integer_matrices())
 @example([[0, 1], [1, 1]])
@@ -220,8 +222,11 @@ def test_free_pairs_repeat_the_sweep_until_none_is_left(monkeypatch):
     # column 0 holds both rows, so the first sweep pairs row 1 with column
     # 1 only; that leaves row 0 alone in column 0, paired in a second sweep
     received = _sparse_spy(monkeypatch)
+    rows = [(0,), (0, 1)]
+    assert _signed_rows(rows) == _dense([[1, 0], [-1, 1]])
     pivots = []
-    assert smith_invariant_factors(_dense([[1, 0], [-1, 1]]), pivots) == [1, 1]
+    left = _free_pairs(rows, 2, pivots)
+    assert [1] * len(pivots) + smith_invariant_factors(_signed_rows(left), pivots) == [1, 1]
     assert pivots == [1, 0]
     assert received == [[]]
 
@@ -229,13 +234,42 @@ def test_free_pairs_repeat_the_sweep_until_none_is_left(monkeypatch):
 def test_free_pairs_leave_nothing_of_the_sphere_boundaries(monkeypatch):
     """Every middle boundary matrix of the 5-dimensional cross-polytope,
     over the rows that clearing keeps, is paired off before ``_sparse``; a
-    matrix without a column of one entry reaches it whole."""
+    matrix without a column of one entry pairs nothing and reaches it
+    whole."""
     received = _sparse_spy(monkeypatch)
     assert homology(cross_polytope_boundary(5)).betti == (1, 0, 0, 0, 0, 1)
     assert received == [[], [], []]
     received.clear()
+    supports = [tuple(row) for row in _dense(BLOW_UP_A)]
+    pivots = []
+    assert _free_pairs(supports, 7, pivots) == supports
+    assert pivots == []
     assert smith_invariant_factors(_dense(BLOW_UP_A)) == [1] * 7
     assert received == [_dense(BLOW_UP_A)]
+
+
+def test_sphere_boundaries_build_no_signed_row(monkeypatch):
+    """The rows of the 5-dimensional cross-polytope's middle matrices are
+    built as tuples of column ids and all pair off on them, so no row of
+    {column: sign} is built at all."""
+    module = importlib.import_module("colorplex.homology")
+    built, signed = [], []
+
+    def building(k_faces, lower_index):
+        rows = _boundary_rows(k_faces, lower_index)
+        built.extend(rows)
+        return rows
+
+    def signing(rows):
+        out = _signed_rows(rows)
+        signed.extend(out)
+        return out
+
+    monkeypatch.setattr(module, "_boundary_rows", building)
+    monkeypatch.setattr(module, "_signed_rows", signing)
+    assert homology(cross_polytope_boundary(5)).betti == (1, 0, 0, 0, 0, 1)
+    assert built and all(type(row) is tuple for row in built)
+    assert signed == []
 
 
 def test_normalise_sets_units_aside():
@@ -346,6 +380,11 @@ def test_subdivision_preserves_invariants():
         assert homology(sub) == homology(t)
 
 
+def _signed_boundary(k_faces, lower_index):
+    """The full signed rows of a boundary matrix, as the SNF takes them."""
+    return _signed_rows(_boundary_rows(k_faces, lower_index))
+
+
 def _reference_homology(t):
     """Homology from every full boundary matrix, bottom up, with no row
     cleared: the reference for the top-down reduction in ``homology``."""
@@ -354,7 +393,7 @@ def _reference_homology(t):
     factors = [[] for _ in range(n + 2)]
     for k in range(1, n + 1):
         lower_index = {f: i for i, f in enumerate(faces[k - 1])}
-        factors[k] = smith_invariant_factors(_boundary_rows(faces[k], lower_index))
+        factors[k] = smith_invariant_factors(_signed_boundary(faces[k], lower_index))
     return HomologyProfile(
         betti=tuple(len(faces[k]) - len(factors[k]) - len(factors[k + 1]) for k in range(n + 1)),
         torsion=tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(n + 1)),
@@ -406,12 +445,10 @@ def _facet_ids(t):
 
 def _factored_rows(t):
     """``homology(t)``, and by dimension k the number of rows of the
-    k-boundary that it hands to ``smith_invariant_factors``: a row of the
-    k-boundary has k+1 entries."""
+    k-boundary that it hands to elimination, which starts with
+    ``_free_pairs``: a row of the k-boundary has k+1 entries."""
     module = importlib.import_module("colorplex.homology")
-    with mock.patch.object(
-        module, "smith_invariant_factors", wraps=module.smith_invariant_factors
-    ) as spy:
+    with mock.patch.object(module, "_free_pairs", wraps=module._free_pairs) as spy:
         profile = homology(t)
     rows = (call.args[0] for call in spy.call_args_list)
     return profile, {len(r[0]) - 1: len(r) for r in rows if r}
@@ -579,7 +616,7 @@ def test_facet_index_forest_gives_top_factors_and_cleared_rows(t):
     index = t.facet_index
     tree = tree_slots(t)
     factors = [1] * len(tree) + [2] * sum(1 for bits in index.odd if bits & 2)
-    assert factors == smith_invariant_factors(_boundary_rows(t.simplices, _facet_ids(t)))
+    assert factors == smith_invariant_factors(_signed_boundary(t.simplices, _facet_ids(t)))
     assert all(x < index.mates[x] for x in tree)
     tree_facets = {_slot_facet(t, x) for x in tree}
     assert len(tree_facets) == len(tree) == len(t.simplices) - validate(t).components
@@ -587,8 +624,8 @@ def test_facet_index_forest_gives_top_factors_and_cleared_rows(t):
         ridge_ids = {f: i for i, f in enumerate(set_faces(t, n - 2))}
         facets = set_faces(t, n - 1)
         kept = [f for f in facets if f not in tree_facets]
-        assert smith_invariant_factors(_boundary_rows(kept, ridge_ids)) == (
-            smith_invariant_factors(_boundary_rows(facets, ridge_ids))
+        assert smith_invariant_factors(_signed_boundary(kept, ridge_ids)) == (
+            smith_invariant_factors(_signed_boundary(facets, ridge_ids))
         )
 
 
@@ -621,6 +658,56 @@ def test_closed_homology_never_enumerates_the_facets(monkeypatch):
             asked.clear()
             homology(t)
             assert asked == list(range(t.dimension - top, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# free pairs on the supports of the rows
+
+
+def _factors_through_free_pairs(t):
+    """By dimension k, the factors of the k-boundary as ``homology`` takes
+    them: free pairs on the supports of the rows that clearing keeps, then
+    the SNF of the signed rows left.  Every matrix is built in full, top
+    down, so the top one is eliminated too; each must keep the factors of
+    the full signed matrix, and each paired column must hold one live row
+    when it pairs, the rows left being those that never paired."""
+    n = t.dimension
+    faces = [set_faces(t, k) for k in range(n + 1)]
+    factors = {}
+    kept = faces[n]
+    for k in range(n, 0, -1):
+        ids = {f: i for i, f in enumerate(faces[k - 1])}
+        rows = _boundary_rows(kept, ids)
+        pivots = []
+        left = _free_pairs(rows, len(ids), pivots)
+        live = list(rows)
+        for c in pivots:
+            holding = [row for row in live if c in row]
+            assert len(holding) == 1, (k, c, holding)
+            live.remove(holding[0])
+        assert live == left
+        factors[k] = [1] * len(pivots) + smith_invariant_factors(_signed_rows(left), pivots)
+        full = smith_invariant_factors(_signed_boundary(faces[k], ids))
+        assert factors[k] == full, k
+        cleared = set(pivots)
+        kept = [f for i, f in enumerate(faces[k - 1]) if i not in cleared]
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_pure_complexes(), _closed_pseudomanifolds()))
+def test_free_pairs_on_supports_keep_the_factors_of_the_signed_matrix(t):
+    _factors_through_free_pairs(t)
+
+
+def test_free_pairs_keep_the_torsion_of_a_cleared_middle_matrix():
+    """RP2 thickened carries its 2 in the 2-boundary, and its suspension
+    thickened in the 3-boundary: middle matrices, factored over the rows
+    that the matrix above leaves."""
+    for t, k in ((_thickened(rp2_6()), 2), (_thickened(_suspension(rp2_6())), 3)):
+        factors = _factors_through_free_pairs(t)
+        assert [d for d in factors[k] if d > 1] == [2], (k, factors[k])
+        assert k < t.dimension
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from colorplex import (
     validate,
 )
 from colorplex.builders import circle, cross_polytope_boundary
-from colorplex.homology import _boundary_rows, smith_invariant_factors
+from colorplex.homology import _boundary_rows, _signed_rows, smith_invariant_factors
 from colorplex.oracles import SUITE_NAMES, random_gem, run_suite, seeded_refinements
 from colorplex import triangulation as tri
 from dual_forest import signed_union_find, stellar_moves, tree_slots
@@ -492,7 +492,7 @@ def test_orientability_matches_top_homology():
     # both orientability and homology's H_n
     for t in _examples_and_subdivisions() + _unions_both_orders():
         facet_ids = {f: i for i, f in enumerate(set_faces(t, t.dimension - 1))}
-        factors = smith_invariant_factors(_boundary_rows(t.simplices, facet_ids))
+        factors = smith_invariant_factors(_signed_rows(_boundary_rows(t.simplices, facet_ids)))
         assert set(factors) <= {1, 2}
         assert orientability(t) == (2 not in factors)
         assert homology(t).betti[t.dimension] == len(t.simplices) - len(factors)
