@@ -8,6 +8,11 @@ Ferri, Gagliardi and Grasselli, 1986) that bound the regions of that color, so
 their component count recovers the region count and V - E + F - R recovers
 the Euler characteristic.
 
+``parse_gem`` reads its tokens through the triangulation parser's
+token-to-int map, one per call, so the edges of one parse share one int
+object per distinct id, not one per occurrence: each vertex id recurs on
+four edge lines.
+
 The analysis reads the gem's mate lists, ``Gem.mates``, its only adjacency:
 validation fills them while it checks the edges, and the gem holds them.
 The vertices are numbered by their positions in the sorted id tuple
@@ -43,7 +48,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import FormatError
-from .triangulation import Triangulation, _gc_paused
+from .triangulation import Triangulation, _gc_paused, _IntTokens
 
 COLOR_NAMES = {1: "red", 2: "green", 3: "blue", 4: "black"}
 
@@ -139,7 +144,10 @@ class Gem:
 def parse_gem(text: str) -> Gem:
     """Parse the gem file format: '#' comments, a ``gem 3`` header, then one
     ``u v c`` line per edge.  Syntax faults raise FormatError with a line
-    number; structural faults raise GemError."""
+    number; structural faults raise GemError.  Tokens are read through a
+    fresh ``_IntTokens`` map per call, as ``parse_triangulation`` reads
+    them."""
+    ids = _IntTokens()
     header_seen = False
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -155,7 +163,7 @@ def parse_gem(text: str) -> Gem:
         if len(parts) != 3:
             raise FormatError(f"expected 'u v c', got {line!r}", lineno)
         try:
-            u, v, c = (int(p) for p in parts)
+            u, v, c = map(ids.__getitem__, parts)
         except ValueError:
             raise FormatError(f"non-integer token in {line!r}", lineno) from None
         if u < 0 or v < 0:

@@ -38,6 +38,12 @@ built and every function is pure, so concurrent use on shared inputs is
 safe; two threads that read a property first at the same time may both
 build it, with equal results.
 
+The parser reads every vertex id through one token-to-int map per call
+(``_IntTokens``), so the simplices of one parse share one int object per
+distinct id.  An id past the interpreter's small-int cache would otherwise
+be a new object at every occurrence, and each id recurs in many simplices:
+at 86,400 4-simplices those objects held more memory than the tuples.
+
 The builders that allocate in bulk (the parser, these cached properties,
 ``homology``, barycentric subdivision and the gem report) run with the
 cyclic garbage collector paused (``_gc_paused``): they make no reference
@@ -212,6 +218,20 @@ def _check_face_budget(dimension: int, simplex_count: int) -> None:
         )
 
 
+class _IntTokens(dict):
+    """One parse's token-to-int map: ``int(token)`` runs on a token's first
+    occurrence only, and tokens of equal value (``7``, ``007``, ``+7``) map
+    to one int object.  A bad token raises ``ValueError`` from ``int`` on
+    its first line, as a plain ``int`` call would."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        value = int(token)
+        value = self[token] = self.setdefault(value, value)
+        return value
+
+
 @_gc_paused
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the triangulation file format.
@@ -220,7 +240,12 @@ def parse_triangulation(text: str) -> Triangulation:
     line must be ``dim <n>``; every later content line lists the n+1 vertex
     ids of one simplex.  Raises :class:`FormatError` with a line number on
     malformed input; duplicate simplices and repeated vertices are rejected.
+    The ids are read through a fresh ``_IntTokens`` map per call, so the
+    simplices share one int object per distinct vertex id, not one per
+    occurrence: at 86,400 4-simplices with ids 0 to 4,681, that is 4,425
+    objects past the small-int cache in place of 309,168.
     """
+    ids = _IntTokens()
     dimension = None
     simplices: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -241,7 +266,7 @@ def parse_triangulation(text: str) -> Triangulation:
             width = dimension + 1
             continue
         try:
-            verts = tuple(sorted(map(int, line.split())))
+            verts = tuple(sorted(map(ids.__getitem__, line.split())))
         except ValueError:
             raise FormatError(f"non-integer vertex id in {line!r}", lineno) from None
         # sorted, so verts[0] is the least vertex id

@@ -101,6 +101,49 @@ def test_parse_token_and_empty_faults(text, message, line):
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
 
+def test_parse_holds_one_int_object_per_vertex_id():
+    # ids from 1000 up are past the small-int cache; each recurs on four lines
+    gem = random_gem(random.Random(5), 40)
+    shifted = Gem.from_edges((u + 1000, v + 1000, c) for u, v, c in gem.edges)
+    parsed = parse_gem(gem_to_text(shifted))
+    assert parsed == shifted
+    assert len({id(x) for u, v, _ in parsed.edges for x in (u, v)}) == len(parsed.vertices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_parse_matches_int_on_every_token(seed, data):
+    # ids spelled with an optional '+' and leading zeros, so that tokens
+    # which differ as text can have one value
+    def spelled(value):
+        sign = data.draw(st.sampled_from(["", "+"]))
+        return sign + "0" * data.draw(st.integers(0, 2)) + str(value)
+
+    rng = random.Random(seed)
+    offset = rng.choice([0, 250, 1000, 10**6])
+    gem = random_gem(rng, 2 * rng.randint(1, 6))
+    lines = [[spelled(u + offset), spelled(v + offset), spelled(c)] for u, v, c in gem.edges]
+
+    def text():
+        return "# spelled ids\ngem 3\n" + "".join(" ".join(l) + "\n" for l in lines)
+
+    gem = parse_gem(text())
+    assert gem == Gem.from_edges([tuple(int(tok) for tok in l) for l in lines])
+    assert len({id(x) for u, v, _ in gem.edges for x in (u, v)}) == len(gem.vertices)
+    # a bad token on two lines is reported, with its line, where it first
+    # occurs, as a parse calling int() on each token reports it
+    first, second = sorted(data.draw(st.lists(st.sampled_from(range(len(lines))),
+                                              min_size=2, max_size=2, unique=True)))
+    bad = data.draw(st.sampled_from(["x", "1.5", "0x1f", "--1", "1e3", "+-2"]))
+    for k in (first, second):
+        lines[k][data.draw(st.integers(0, 2))] = bad
+    with pytest.raises(FormatError) as err:
+        parse_gem(text())
+    line = " ".join(lines[first])
+    assert err.value.line == first + 3
+    assert str(err.value) == f"line {first + 3}: non-integer token in {line!r}"
+
+
 def test_serialise_round_trip():
     for gem in (MINIMAL, _cross_gem()[1]):
         assert parse_gem(gem_to_text(gem)) == gem

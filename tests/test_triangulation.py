@@ -150,6 +150,65 @@ def test_parse_non_integer():
     assert err.value.line == 2
 
 
+def test_parse_holds_one_int_object_per_vertex_id():
+    # ids from 1000 up are past the small-int cache, so a parse that called
+    # int() on every token would hold one object per occurrence
+    t = barycentric_subdivide(cross_polytope_boundary(3))[0]
+    shifted = tuple(tuple(v + 1000 for v in s) for s in t.simplices)
+    parsed = parse_triangulation(triangulation_to_text(Triangulation(3, shifted)))
+    assert parsed.simplices == shifted
+    assert len({id(v) for s in parsed.simplices for v in s}) == len(parsed.vertices)
+
+
+def _spelled(draw, value):
+    """``value`` as a token with an optional '+' and leading zeros, so that
+    tokens which differ as text can have one value."""
+    return draw(st.sampled_from(["", "+"])) + "0" * draw(st.integers(0, 2)) + str(value)
+
+
+@st.composite
+def _spelled_simplex_lines(draw):
+    """The dimension and the token lists of a triangulation text's simplex
+    lines, whose ids, some past the small-int cache, recur across lines
+    under different spellings."""
+    dimension = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.integers(0, 10**6), min_size=dimension + 1, max_size=10,
+                         unique=True))
+    simplices = draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=dimension + 1, max_size=dimension + 1,
+                 unique=True),
+        min_size=2, max_size=16, unique_by=frozenset,
+    ))
+    return dimension, [[_spelled(draw, v) for v in s] for s in simplices]
+
+
+def _spelled_text(dimension, lines):
+    """The text of ``lines`` after a comment and the header, so that the
+    simplex line k is text line k + 3."""
+    return f"# spelled ids\ndim {dimension}\n" + "".join(" ".join(l) + "\n" for l in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spelled_simplex_lines(), st.data())
+def test_parse_matches_int_on_every_token(case, data):
+    dimension, lines = case
+    t = parse_triangulation(_spelled_text(dimension, lines))
+    assert t.simplices == tuple(sorted(tuple(sorted(int(tok) for tok in l)) for l in lines))
+    assert len({id(v) for s in t.simplices for v in s}) == len(t.vertices)
+    # a bad token on two lines is reported, with its line, where it first
+    # occurs, as a parse calling int() on each token reports it
+    first, second = sorted(data.draw(st.lists(st.sampled_from(range(len(lines))),
+                                              min_size=2, max_size=2, unique=True)))
+    bad = data.draw(st.sampled_from(["x", "1.5", "0x1f", "--1", "1e3", "+-2"]))
+    for k in (first, second):
+        lines[k][data.draw(st.integers(0, dimension))] = bad
+    with pytest.raises(FormatError) as err:
+        parse_triangulation(_spelled_text(dimension, lines))
+    line = " ".join(lines[first])
+    assert err.value.line == first + 3
+    assert str(err.value) == f"line {first + 3}: non-integer vertex id in {line!r}"
+
+
 def test_serialise_round_trip():
     t = parse_triangulation(TETRA_TEXT)
     assert parse_triangulation(triangulation_to_text(t)) == t
