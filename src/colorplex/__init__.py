@@ -90,8 +90,6 @@ _LAZY = {
         "is_colorable",
         "is_locally_colorable",
         "link_loop_permutation",
-        "path_permutation",
-        "propagate",
         "verify_coloring",
     ),
     "perms": ("Permutation", "subgroup_closure"),

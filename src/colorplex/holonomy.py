@@ -9,9 +9,7 @@ labeling around dual loops gives color permutations; the complex is
 
 Labelings are plain color tuples, ``colors[i]`` on a simplex's i-th smallest
 vertex.  :func:`hol_generators` transports them by position along the
-breadth-first tree that the facet index has already grown; :func:`propagate`
-carries one across one dual edge by vertex, the reference for that transport
-and for explicit loops.
+breadth-first tree that the facet index has already grown.
 """
 
 from __future__ import annotations
@@ -28,50 +26,6 @@ from .triangulation import Triangulation, _breadth_first, _slot_facet
 BRUTE_FORCE_VERTEX_LIMIT = 40
 
 
-def propagate(
-    t: Triangulation, source: int, colors: tuple[int, ...], target: int
-) -> tuple[int, ...]:
-    """Carry the colors of simplex ``source`` across the dual edge into
-    ``target``; ``colors[i]`` colors the i-th smallest vertex, of ``source``
-    on the way in and of ``target`` on the way out.
-
-    The shared facet keeps its colors; the vertex of ``target`` opposite the
-    facet is forced to the color that the facet does not use.  Raises
-    ValueError when the two simplices are not facet-adjacent.
-    """
-    src = t.simplices[source]
-    dst = t.simplices[target]
-    shared = set(src) & set(dst)
-    if target == source or len(shared) != t.dimension:
-        raise ValueError(
-            f"simplices {src} and {dst} do not share a facet"
-        )
-    by_vertex = dict(zip(src, colors))
-    (dropped,) = set(src) - shared
-    forced = by_vertex[dropped]
-    return tuple(by_vertex[v] if v in shared else forced for v in dst)
-
-
-def path_permutation(t: Triangulation, path) -> Permutation:
-    """Color permutation picked up around a closed dual walk.
-
-    ``path`` lists simplex ids, starting and ending at the same simplex;
-    repeated consecutive entries are allowed (and skipped) so loops can be
-    concatenated.  The walk starts with color i on the i-th smallest vertex,
-    so the result p satisfies p(start color of a vertex) = its end color.
-    """
-    path = list(path)
-    if path[0] != path[-1]:
-        raise ValueError("path is not a loop")
-    cur = path[0]
-    colors = tuple(range(1, t.dimension + 2))
-    for nxt in path[1:]:
-        if nxt != cur:
-            colors = propagate(t, cur, colors, nxt)
-            cur = nxt
-    return Permutation(colors)
-
-
 # ---------------------------------------------------------------------------
 # holonomy generators over a dual spanning tree
 
@@ -80,16 +34,13 @@ def path_permutation(t: Triangulation, path) -> Permutation:
 class HolonomyData:
     """Spanning-tree presentation of the dual-loop holonomy.
 
-    The base is simplex 0, the lexicographically least, with color i on its
-    i-th smallest vertex; the tree comes from a breadth-first search with
-    lexicographic neighbor order.  ``colors[k]`` is the labeling carried
-    along the tree to simplex k (``colors[k][i]`` colors its i-th smallest
-    vertex).  One generator loop per non-tree dual edge (a, b), a < b, in
-    (a, b) order: tree path to a, cross to b, tree path back.
-    ``permutations[k]`` is the color permutation of generator k.
+    ``colors[k]`` is the labeling carried along the tree from simplex 0 to
+    simplex k (``colors[k][i]`` colors its i-th smallest vertex).  One
+    generator loop per non-tree dual edge (a, b), a < b, in (a, b) order:
+    tree path to a, cross to b, tree path back.  ``permutations[k]`` is the
+    color permutation of generator k.
     """
 
-    parent: tuple[int, ...]  # parent simplex id, -1 at the base
     colors: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, int], ...]
     permutations: tuple[Permutation, ...]
@@ -103,19 +54,6 @@ class HolonomyData:
         the time does."""
         return all(p.is_identity for p in _distinct(self.permutations).values())
 
-    def _chain_to_base(self, sid: int) -> list[int]:
-        chain = [sid]
-        while self.parent[chain[-1]] != -1:
-            chain.append(self.parent[chain[-1]])
-        return chain
-
-    def generator_loop(self, k: int) -> tuple[int, ...]:
-        """The explicit simplex-id loop realising generator k."""
-        a, b = self.generators[k]
-        to_a = self._chain_to_base(a)[::-1]
-        from_b = self._chain_to_base(b)
-        return tuple(to_a + from_b)
-
 
 def _distinct(perms) -> dict[int, Permutation]:
     """``perms`` by object identity, each object once, in order of first
@@ -126,9 +64,9 @@ def _distinct(perms) -> dict[int, Permutation]:
 
 
 def _transport(colors: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    """``propagate`` by positions: the source drops its vertex at position
-    i, the target its vertex at position j, and the shared facet keeps the
-    order of its colors."""
+    """Cross a facet: the source drops its vertex at position i, the target
+    its vertex at position j, and the shared facet keeps the order of its
+    colors."""
     rest = colors[:i] + colors[i + 1 :]
     return rest[:j] + (colors[i],) + rest[j:]
 
@@ -142,13 +80,12 @@ def hol_generators(
     and ``.order``): simplex 0, with color i on its i-th smallest vertex, is
     its root, and each simplex's neighbours are taken in ascending id.
     Following the visit order, each simplex gets the colors carried across
-    its tree edge from its parent (by position, see ``_transport``, with the
-    same result as ``propagate``); no walk of the graph is made here.  Then
-    every paired slot x < mates[x] that is not a tree edge is a non-tree
-    edge (a, b), a < b, and its permutation compares b's tree colors with
-    a's colors carried across.  The generators are sorted by their (a, b)
-    key alone: the pairs are distinct, because two simplices share at most
-    one facet.
+    its tree edge from its parent (by position, see ``_transport``); no
+    walk of the graph is made here.  Then every paired slot x < mates[x]
+    that is not a tree edge is a non-tree edge (a, b), a < b, and its
+    permutation compares b's tree colors with a's colors carried across.
+    The generators are sorted by their (a, b) key alone: the pairs are
+    distinct, because two simplices share at most one facet.
 
     A step depends only on the colors carried and the dropped positions
     (i, j), so each distinct step is computed once per call and its result
@@ -212,7 +149,6 @@ def hol_generators(
         found.append(((a, b), perm))
     found.sort(key=itemgetter(0))
     return HolonomyData(
-        parent=tuple(-1 if y < 0 else mates[y] // degree for y in into),
         colors=tuple(colors),
         generators=tuple(map(itemgetter(0), found)),
         permutations=tuple(map(itemgetter(1), found)),

@@ -113,8 +113,7 @@ PACKAGE_EXPORTS = {
     "holonomy": [
         "DefectGraphs", "HolonomyData", "brute_force_colorable", "defect_free_four_coloring",
         "defect_graphs", "hol_generators", "holonomy_invariants", "is_colorable",
-        "is_locally_colorable", "link_loop_permutation", "path_permutation", "propagate",
-        "verify_coloring",
+        "is_locally_colorable", "link_loop_permutation", "verify_coloring",
     ],
     "homology": ["HomologyProfile", "homology", "smith_invariant_factors"],
     "perms": ["Permutation", "subgroup_closure"],
@@ -175,15 +174,18 @@ def test_lazy_package_keeps_every_export():
     assert report["homology_is_function"] == [True, True]
 
 
-# Public definitions that no package module uses yet, each with its reason
-SURFACE_UNUSED = {
-    "dual_graph",  # a layer the benchmark traces
-    # read by tests and the benchmark's dual-graph check; it goes with dual_graph
-    "DualGraph.degrees",
-    # the reference transport, kept for re-checking a holonomy witness loop
-    "path_permutation",
-    "HolonomyData.generator_loop",
-}
+# Public definitions that no package module uses yet: the benchmark's
+# workloads call dual_graph, and both leave when they no longer do
+SURFACE_UNUSED = {"dual_graph", "DualGraph.degrees"}
+# Fields of package dataclasses and NamedTuples that no package module reads
+FIELDS_UNREAD = set()
+
+
+def _package_trees():
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(pathlib.Path(colorplex.__file__).parent.glob("*.py"))
+    ]
 
 
 def test_every_public_definition_is_used_by_the_package():
@@ -193,8 +195,7 @@ def test_every_public_definition_is_used_by_the_package():
     counts as used only when it is reached as an attribute: a local variable
     of the same name does not call it."""
     defined, names, attributes = set(), set(), set()
-    for path in sorted(pathlib.Path(colorplex.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for tree in _package_trees():
         bodies = [("", tree.body)]
         while bodies:
             owner, body = bodies.pop()
@@ -215,6 +216,36 @@ def test_every_public_definition_is_used_by_the_package():
         if short not in attributes and (owner or short not in names):
             unused.add(name)
     assert unused == SURFACE_UNUSED
+
+
+def _callee_name(node):
+    """The name a decorator or base class is bound to: ``dataclass`` for
+    ``@dataclass(frozen=True)``, ``NamedTuple`` for ``typing.NamedTuple``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_every_record_field_is_read_by_the_package():
+    """A field of a package dataclass or ``NamedTuple`` whose name no
+    package module reads as an attribute is held for tests alone, unless
+    listed above."""
+    fields, read = set(), set()
+    for tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (
+                "dataclass" in map(_callee_name, node.decorator_list)
+                or "NamedTuple" in map(_callee_name, node.bases)
+            ):
+                fields.update(
+                    (node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(fields) > 20  # a scan that missed the records would pass vacuously
+    unread = {f"{owner}.{name}" for owner, name in fields if name not in read}
+    assert unread == FIELDS_UNREAD
 
 
 def test_gem_report_runs_without_networkx(tmp_path):

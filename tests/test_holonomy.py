@@ -15,7 +15,6 @@ from colorplex import (
     barycentric_subdivide,
     brute_force_colorable,
     defect_free_four_coloring,
-    dual_graph,
     defect_graphs,
     face_census,
     hol_generators,
@@ -23,8 +22,6 @@ from colorplex import (
     is_colorable,
     is_locally_colorable,
     link_loop_permutation,
-    path_permutation,
-    propagate,
     validate,
     verify_coloring,
 )
@@ -40,16 +37,34 @@ from colorplex.holonomy import DefectGraphs
 from colorplex.perms import subgroup_closure
 from colorplex.triangulation import Triangulation
 from dual_forest import stellar_moves
+from reference_transport import (
+    generator_loop,
+    path_permutation,
+    propagate,
+    tree_into,
+    tree_parents,
+)
 
 
 def _sid(t, verts):
     return t.simplices.index(tuple(sorted(verts)))
 
 
+def _dual_edges(t):
+    """The dual edges (a, b), a < b, ascending, from the vertex sets alone:
+    a map from each facet to the simplices that have it, and the facets
+    that exactly two have."""
+    having = {}
+    for sid, s in enumerate(t.simplices):
+        for facet in itertools.combinations(s, t.dimension):
+            having.setdefault(facet, []).append(sid)
+    return sorted(tuple(sids) for sids in having.values() if len(sids) == 2)
+
+
 def _dual_neighbours(t):
-    """Each simplex's facet-adjacent simplices, from ``dual_graph`` edges."""
+    """Each simplex's facet-adjacent simplices, from ``_dual_edges``."""
     neighbours = [[] for _ in t.simplices]
-    for a, b, _facet in dual_graph(t).edges:
+    for a, b in _dual_edges(t):
         neighbours[a].append(b)
         neighbours[b].append(a)
     return neighbours
@@ -123,16 +138,24 @@ def test_torus_has_nontrivial_generator():
 
 
 def test_generator_permutations_match_their_loops():
-    for t in (simplex_boundary(2), simplex_boundary(3), torus7(), rp2_6()):
-        hol = hol_generators(t)
-        for k, perm in enumerate(hol.permutations):
-            assert path_permutation(t, hol.generator_loop(k)) == perm
+    """Each generator's permutation is its loop's, on both trees, over
+    subdivisions and obstructed inputs alike."""
+    for t in _closed_tree_inputs():
+        for reverse_neighbors in (False, True):
+            hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
+            into = tree_into(t, reverse_neighbors)
+            for g, perm in zip(hol.generators, hol.permutations):
+                assert path_permutation(t, generator_loop(t, g, into)) == perm
 
 
 def test_concatenated_loops_compose():
-    for t in (simplex_boundary(2), torus7(), rp2_6()):
-        hol = hol_generators(t)
-        loops = [hol.generator_loop(k) for k in range(len(hol.generators))]
+    """Over every pair of generators, so on the inputs of 40 simplices or
+    fewer."""
+    small = [t for t in _closed_tree_inputs() if len(t.simplices) <= 40]
+    for t, reverse_neighbors in itertools.product(small, (False, True)):
+        hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
+        into = tree_into(t, reverse_neighbors)
+        loops = [generator_loop(t, g, into) for g in hol.generators]
         for a in range(len(loops)):
             for b in range(len(loops)):
                 joined = loops[a] + loops[b]
@@ -521,7 +544,7 @@ def _propagated_holonomy(t, reverse_neighbors):
                 colors[nb] = propagate(t, cur, colors[cur], nb)
                 queue.append(nb)
     generators, permutations = [], []
-    for a, b, _facet in dual_graph(t).edges:
+    for a, b in _dual_edges(t):
         if parent[a] == b or parent[b] == a:
             continue
         crossed = propagate(t, a, colors[a], b)
@@ -575,7 +598,8 @@ def test_hol_generators_match_propagate(reverse_neighbors):
     assert [(validate(t).closed, validate(t).connected) for t in not_closed] == [(False, True)] * 2
     for t in _closed_tree_inputs() + not_closed:
         hol = hol_generators(t, reverse_neighbors=reverse_neighbors)
-        got = (hol.parent, hol.colors, hol.generators, hol.permutations)
+        parents = tree_parents(t, tree_into(t, reverse_neighbors))
+        got = (parents, hol.colors, hol.generators, hol.permutations)
         assert got == _propagated_holonomy(t, reverse_neighbors)
 
 
@@ -587,8 +611,7 @@ def test_holonomy_tree_is_the_facet_index_tree():
     for t in _closed_tree_inputs() + not_closed:
         index = t.facet_index
         width = t.dimension + 1
-        parents = tuple(-1 if y < 0 else index.mates[y] // width for y in index.into)
-        assert hol_generators(t).parent == parents
+        parents = tree_parents(t, index.into)
         assert index.order[0] == 0 and sorted(index.order) == list(range(len(t.simplices)))
         assert all(y // width == b for b, y in enumerate(index.into) if y >= 0)
         position = {b: k for k, b in enumerate(index.order)}
